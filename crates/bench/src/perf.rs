@@ -1226,6 +1226,127 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A fixed measurement for the golden journal: the values are
+    /// arbitrary, only their bytes on disk matter.
+    fn golden_result(name: &str, profile: Option<EngineProfile>) -> ScenarioResult {
+        ScenarioResult {
+            name: name.to_string(),
+            family: "chains".to_string(),
+            n: 11,
+            procs: 4,
+            scheduler: "CatBatch".to_string(),
+            wall_ms: 0.5,
+            events: 22,
+            events_per_sec: 44000.0,
+            peak_ready: 3,
+            makespan: 15.2,
+            lower_bound: 9.375,
+            makespan_ratio: 1.62,
+            length_ratio: if profile.is_some() { Some(8.0) } else { None },
+            repeats: Some(20),
+            profile,
+        }
+    }
+
+    /// The quick-tier journal the golden test pins: a header, one
+    /// `Scenario` record per quick scenario (one with every `Option`
+    /// set, the rest with `null`s), and a `Reference` record.
+    fn golden_records() -> Vec<BenchRecord> {
+        let profile = EngineProfile {
+            queue_pushes: 11,
+            queue_pops: 11,
+            rational_fallbacks: 2,
+            decide_calls: 7,
+            batches: 6,
+            max_batch: 3,
+            hint_misses: 0,
+        };
+        let mut records: Vec<BenchRecord> = scenarios(true)
+            .iter()
+            .enumerate()
+            .map(|(i, sc)| BenchRecord::Scenario {
+                result: golden_result(sc.name, (i == 0).then(|| profile.clone())),
+            })
+            .collect();
+        records.push(BenchRecord::Reference {
+            comparison: RefComparison {
+                scenario: REFERENCE_SCENARIO.to_string(),
+                event_driven_ms: 2.0,
+                reference_ms: 9.0,
+                speedup: 4.5,
+                engine_only_ms: 3.0,
+                engine_only_speedup: 1.5,
+            },
+        });
+        records
+    }
+
+    const GOLDEN_HEADER: &str = r#"{"schema":"catbatch-bench-journal/v1","quick":true}"#;
+
+    fn golden_line(name: &str, rest: &str) -> String {
+        format!(
+            r#"{{"Scenario":{{"result":{{"name":"{name}","family":"chains","n":11,"procs":4,"scheduler":"CatBatch","wall_ms":0.5,"events":22,"events_per_sec":44000,"peak_ready":3,"makespan":15.2,"lower_bound":9.375,"makespan_ratio":1.62,{rest}}}}}}}"#
+        )
+    }
+
+    fn golden_journal() -> String {
+        let mut text = format!("{GOLDEN_HEADER}\n");
+        for (i, sc) in scenarios(true).iter().enumerate() {
+            let rest = if i == 0 {
+                r#""length_ratio":8,"repeats":20,"profile":{"queue_pushes":11,"queue_pops":11,"rational_fallbacks":2,"decide_calls":7,"batches":6,"max_batch":3,"hint_misses":0}"#
+            } else {
+                r#""length_ratio":null,"repeats":20,"profile":null"#
+            };
+            text.push_str(&golden_line(sc.name, rest));
+            text.push('\n');
+        }
+        text.push_str(concat!(
+            r#"{"Reference":{"comparison":{"scenario":"rand-chains-n100000","event_driven_ms":2,"#,
+            r#""reference_ms":9,"speedup":4.5,"engine_only_ms":3,"engine_only_speedup":1.5}}}"#,
+            "\n"
+        ));
+        text
+    }
+
+    #[test]
+    fn bench_journal_bytes_are_pinned() {
+        // The line format: the header and both record kinds, verbatim.
+        let header = BenchJournalHeader { schema: JOURNAL_SCHEMA.to_string(), quick: true };
+        let mut written = serde_json::to_string(&header).unwrap() + "\n";
+        for rec in golden_records() {
+            written.push_str(&serde_json::to_string(&rec).unwrap());
+            written.push('\n');
+        }
+        assert_eq!(written, golden_journal());
+
+        // The file path: resume a golden journal that lost its first
+        // scenario and gained a torn fragment. The fragment is cut, every
+        // other record replays verbatim, and the one re-timed scenario is
+        // appended as a single whole line after the kept bytes.
+        let path = std::env::temp_dir().join(format!(
+            "catbatch-bench-journal-golden-{}.jsonl",
+            std::process::id()
+        ));
+        let golden = golden_journal();
+        let mut lines: Vec<&str> = golden.split_inclusive('\n').collect();
+        let first = scenarios(true)[0].name;
+        lines.remove(1);
+        let kept: String = lines.concat();
+        std::fs::write(&path, format!("{kept}{{\"Scenario\":{{\"res")).unwrap();
+        let resumed = run_journaled(true, &path, true, 1).expect("resume golden journal");
+        assert_eq!(resumed.executed, 1);
+        assert_eq!(resumed.replayed, scenarios(true).len() - 1);
+        let after = std::fs::read_to_string(&path).unwrap();
+        let appended = after.strip_prefix(kept.as_str()).expect("kept bytes are untouched");
+        assert_eq!(appended.matches('\n').count(), 1);
+        assert!(appended.ends_with('\n'));
+        match serde_json::from_str::<BenchRecord>(appended.trim_end()).unwrap() {
+            BenchRecord::Scenario { result } => assert_eq!(result.name, first),
+            BenchRecord::Reference { .. } => panic!("the quick tier appends no reference"),
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn matrix_covers_required_sizes() {
         let names: Vec<&str> = scenarios(false).iter().map(|s| s.name).collect();
