@@ -11,7 +11,8 @@
 //! * E18 — **estimate robustness**: CatBatch under multiplicative
 //!   execution-time noise (the first future-work question of Section 7).
 
-use crate::harness::{f3, parallel_map, Sched, Table};
+use crate::harness::{f3, Sched, Table};
+use rigid_exec::{default_jobs, ordered_map};
 use rigid_baselines::Priority;
 use rigid_dag::analysis;
 use rigid_dag::gen::{family, TaskSampler};
@@ -49,7 +50,7 @@ pub fn ablation_barrier() -> String {
             }
         })
         .collect();
-    let results = parallel_map(jobs);
+    let results = ordered_map(jobs, default_jobs(), |_, job| job());
     let mut sums = [0.0f64; 4];
     let mut count = 0usize;
     for (s, c) in results {
@@ -115,7 +116,7 @@ pub fn ablation_estimates() -> String {
                 }
             })
             .collect();
-        let results = parallel_map(jobs);
+        let results = ordered_map(jobs, default_jobs(), |_, job| job());
         let sum: f64 = results.iter().map(|r| r.0).sum();
         let worst = results.iter().map(|r| r.1).fold(1.0, f64::max);
         let count: usize = results.iter().map(|r| r.2).sum();

@@ -1,7 +1,8 @@
 //! Cross-scheduler comparison (E15) and the strip-packing experiment
 //! (E16).
 
-use crate::harness::{f3, parallel_map, Sched, Table};
+use crate::harness::{f3, Sched, Table};
+use rigid_exec::{default_jobs, ordered_map};
 use rigid_baselines::{OfflineBatch, OfflineList, Priority, ShelfScheduler};
 use rigid_dag::gen::{family, independent, TaskSampler};
 use rigid_dag::{analysis, StaticSource};
@@ -57,7 +58,7 @@ pub fn compare_schedulers() -> String {
             }
         })
         .collect();
-    let all_rows = parallel_map(jobs);
+    let all_rows = ordered_map(jobs, default_jobs(), |_, job| job());
 
     let mut header: Vec<String> = vec!["family".into()];
     header.extend(online.iter().map(|s| s.name()));

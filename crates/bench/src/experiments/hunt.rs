@@ -18,8 +18,7 @@ use rigid_dag::{Instance, StableHasher, StaticSource, TaskGraph, TaskId, TaskSpe
 use rigid_faults::TrialStats;
 use rigid_sim::engine;
 use rigid_supervise::{
-    read_journal, JournalHeader, JournalWriter, ShardInfo, ShardSpec, Supervisor,
-    SupervisorPolicy, JOURNAL_SCHEMA,
+    open_campaign_journal, JournalError, ShardInfo, ShardSpec, Supervisor, SupervisorPolicy,
 };
 use rigid_time::{Rational, Time};
 use std::collections::BTreeMap;
@@ -245,52 +244,24 @@ pub fn hunt_campaign(
 
     // Resume: replay journaled restarts, exactly like fault campaigns.
     let mut replay: BTreeMap<u64, TrialStats> = BTreeMap::new();
-    let mut writer: Option<JournalWriter> = None;
-    if let Some(path) = journal {
-        if resume && path.exists() {
-            let contents = read_journal(path).map_err(|e| e.to_string())?;
-            if contents.header.fingerprint != fingerprint_hex {
-                return Err(format!(
-                    "journal {} was written for hunt scenario {} but this hunt is scenario \
-                     {fingerprint_hex} — same n/procs/steps required",
-                    path.display(),
-                    contents.header.fingerprint
-                ));
-            }
-            if contents.shard != shard_info {
-                let describe = |s: &Option<ShardInfo>| match s {
-                    Some(info) => info.to_string(),
-                    None => "unsharded".to_string(),
-                };
-                return Err(format!(
-                    "journal {} was written as {} but this hunt runs {} — each shard must \
-                     resume its own journal file",
-                    path.display(),
-                    describe(&contents.shard),
-                    describe(&shard_info)
-                ));
-            }
-            writer =
-                Some(JournalWriter::append_validated(path, &contents).map_err(|e| e.to_string())?);
+    let mut writer = match journal {
+        Some(path) => {
+            let (writer, contents) = open_campaign_journal(
+                path,
+                resume,
+                &fingerprint_hex,
+                "worst-case-hunt",
+                shard_info.as_ref(),
+                || Ok::<_, JournalError>(Time::ONE),
+            )
+            .map_err(|e| format!("hunt journal {}: {e}", path.display()))?;
             for t in contents.trials {
                 replay.entry(t.seed).or_insert(t);
             }
-        } else {
-            let header = JournalHeader {
-                schema: JOURNAL_SCHEMA.to_string(),
-                fingerprint: fingerprint_hex,
-                scheduler: "worst-case-hunt".to_string(),
-                fault_free_makespan: Time::ONE,
-            };
-            writer = Some(
-                match &shard_info {
-                    Some(info) => JournalWriter::create_shard(path, &header, info),
-                    None => JournalWriter::create(path, &header),
-                }
-                .map_err(|e| e.to_string())?,
-            );
+            Some(writer)
         }
-    }
+        None => None,
+    };
 
     let mut supervisor = Supervisor::new(SupervisorPolicy::default());
     let mut trials = Vec::with_capacity(seeds.len());

@@ -2,7 +2,8 @@
 //! upper bounds (Theorems 1–2) over random ensembles and the lower-bound
 //! scaling (Theorems 3–4) against the adaptive adversary.
 
-use crate::harness::{f3, parallel_map, Sched, Table};
+use crate::harness::{f3, Sched, Table};
+use rigid_exec::{default_jobs, ordered_map};
 use catbatch::lmatrix::{theorem1_ratio_bound, theorem2_ratio_bound};
 use rigid_baselines::Priority;
 use rigid_dag::gen::{family, LengthDist, ProcDist, TaskSampler};
@@ -46,7 +47,7 @@ pub fn thm1_ratio_n() -> String {
                 }
             })
             .collect();
-        let results = parallel_map(jobs);
+        let results = ordered_map(jobs, default_jobs(), |_, job| job());
         let worst_cb = results.iter().map(|r| r.0).fold(1.0, f64::max);
         let total: f64 = results.iter().map(|r| r.1).sum();
         let count: usize = results.iter().map(|r| r.2).sum();
@@ -115,7 +116,7 @@ pub fn thm2_ratio_mm() -> String {
                 }
             })
             .collect();
-        let results = parallel_map(jobs);
+        let results = ordered_map(jobs, default_jobs(), |_, job| job());
         let worst = results.iter().map(|r| r.0).fold(1.0, f64::max);
         let total: f64 = results.iter().map(|r| r.1).sum();
         let count: usize = results.iter().map(|r| r.2).sum();

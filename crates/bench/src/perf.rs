@@ -713,51 +713,26 @@ pub fn run_journaled(
     resume: bool,
     jobs: usize,
 ) -> Result<JournaledRun, String> {
-    use std::io::Write;
+    use rigid_supervise::journal::{read_log, JournalWriter};
 
-    let io = |e: std::io::Error| format!("bench journal {}: {e}", path.display());
     let mut done: std::collections::BTreeMap<String, ScenarioResult> =
         std::collections::BTreeMap::new();
     let mut journaled_reference: Option<RefComparison> = None;
+    let context = |e| format!("bench journal {}: {e}", path.display());
 
-    let mut file = if resume && path.exists() {
-        let text = std::fs::read_to_string(path).map_err(io)?;
-        // The shared scan/truncate/append discipline of every journal
-        // reader in the workspace (see rigid_supervise::journal): only
-        // a *final* garbled line is a tolerated crash artifact, and it
-        // is truncated away before appending so a fresh record never
-        // merges into torn bytes.
-        let scan = rigid_supervise::journal::complete_lines(&text);
-        let Some(&(_, first, _)) = scan.lines.first() else {
-            return Err(format!(
-                "bench journal {} has no header line — not a {JOURNAL_SCHEMA} file",
-                path.display()
-            ));
-        };
-        let header: BenchJournalHeader = serde_json::from_str(first)
-            .map_err(|_| format!("bench journal {} has no header line", path.display()))?;
-        if header.schema != JOURNAL_SCHEMA {
-            return Err(format!(
-                "bench journal {} has schema {:?}, expected {JOURNAL_SCHEMA:?}",
-                path.display(),
-                header.schema
-            ));
-        }
-        if header.quick != quick {
+    let mut journal = if resume && path.exists() {
+        let log = read_log::<BenchJournalHeader, BenchRecord>(path, &[JOURNAL_SCHEMA])
+            .map_err(context)?;
+        if log.header.quick != quick {
             return Err(format!(
                 "bench journal {} was written for the {} tier; rerun with the same tier or \
                  a fresh journal",
                 path.display(),
-                if header.quick { "--quick" } else { "full" }
+                if log.header.quick { "--quick" } else { "full" }
             ));
         }
-        let records = rigid_supervise::journal::scan_records(&scan, |line| {
-            serde_json::from_str::<BenchRecord>(line).map_err(|e| e.to_string())
-        })
-        .map_err(|(lineno, e)| {
-            format!("bench journal {} line {lineno} is corrupt: {e}", path.display())
-        })?;
-        for rec in records.records {
+        let writer = JournalWriter::append_validated(path, &log).map_err(context)?;
+        for rec in log.records {
             match rec {
                 BenchRecord::Scenario { result } => {
                     done.entry(result.name.clone()).or_insert(result);
@@ -767,22 +742,12 @@ pub fn run_journaled(
                 }
             }
         }
-        rigid_supervise::journal::open_validated_append(path, records.torn_tail, records.valid_len)
-            .map_err(io)?
+        writer
     } else {
-        let mut f = std::fs::File::create(path).map_err(io)?;
         let header = BenchJournalHeader { schema: JOURNAL_SCHEMA.to_string(), quick };
-        let line = serde_json::to_string(&header).map_err(|e| e.to_string())?;
-        f.write_all(format!("{line}\n").as_bytes()).map_err(io)?;
-        f.sync_data().map_err(io)?;
-        f
+        JournalWriter::create(path, &header).map_err(context)?
     };
-
-    let record = |file: &mut std::fs::File, rec: &BenchRecord| -> Result<(), String> {
-        let line = serde_json::to_string(rec).map_err(|e| e.to_string())?;
-        file.write_all(format!("{line}\n").as_bytes()).map_err(io)?;
-        file.sync_data().map_err(io)
-    };
+    let mut record = |rec: &BenchRecord| journal.record(rec).map_err(context);
 
     let matrix = scenarios(quick);
     let mut results = Vec::with_capacity(matrix.len());
@@ -796,7 +761,7 @@ pub fn run_journaled(
                 continue;
             }
             let r = run_scenario(sc);
-            record(&mut file, &BenchRecord::Scenario { result: r.clone() })?;
+            record(&BenchRecord::Scenario { result: r.clone() })?;
             executed += 1;
             results.push(r);
         }
@@ -815,7 +780,7 @@ pub fn run_journaled(
                 continue;
             }
             let r = fresh_by_index.remove(&i).expect("pending scenario was timed");
-            record(&mut file, &BenchRecord::Scenario { result: r.clone() })?;
+            record(&BenchRecord::Scenario { result: r.clone() })?;
             executed += 1;
             results.push(r);
         }
@@ -831,7 +796,7 @@ pub fn run_journaled(
             .find(|sc| sc.name == REFERENCE_SCENARIO)
             .map(run_reference_comparison);
         if let Some(rc) = &rc {
-            record(&mut file, &BenchRecord::Reference { comparison: rc.clone() })?;
+            record(&BenchRecord::Reference { comparison: rc.clone() })?;
         }
         rc
     };

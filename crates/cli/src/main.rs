@@ -1,5 +1,6 @@
 //! The `catbatch` binary: thin I/O shell over `catbatch_cli`.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -20,8 +21,17 @@ fn main() -> ExitCode {
     };
     match catbatch_cli::run_command(&cmd, &read_file) {
         Ok(out) => {
-            print!("{out}");
-            ExitCode::SUCCESS
+            // `print!` panics when the reader has gone away (`catbatch …
+            // | head`); a closed pipe just means nobody wants the rest.
+            let mut stdout = io::stdout().lock();
+            match stdout.write_all(out.as_bytes()).and_then(|()| stdout.flush()) {
+                Ok(()) => ExitCode::SUCCESS,
+                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("error: cannot write output: {e}");
+                    ExitCode::FAILURE
+                }
+            }
         }
         Err(e) => {
             eprintln!("error: {e}");

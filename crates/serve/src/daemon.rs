@@ -749,13 +749,33 @@ fn worker_loop(index: usize, shared: &Arc<Shared>, scratch: &Arc<ScratchPool<Eng
             None if shared.stopping() && shared.producers_done.load(Ordering::SeqCst) => break,
             None => {
                 let (queue, cond) = &shared.queues[index];
-                let guard = queue.lock().expect("shard queue poisoned");
-                let _ = cond
-                    .wait_timeout(guard, Duration::from_millis(50))
-                    .expect("shard queue poisoned");
+                wait_for_work(queue, cond, IDLE_WAIT, || {
+                    shared.producers_done.load(Ordering::SeqCst)
+                });
             }
         }
     }
+}
+
+/// The longest an idle worker sleeps before it looks again at the other
+/// shards (to steal) and at the stop flag.
+const IDLE_WAIT: Duration = Duration::from_millis(50);
+
+/// Parks an idle worker on its shard queue until the queue is non-empty,
+/// `done()` holds, or `timeout` passes. The queue is checked under its
+/// lock before sleeping: `enqueue` pushes and then notifies outside the
+/// lock, so a job queued between the worker's failed pop and this call
+/// must not wait out the timeout.
+fn wait_for_work<T>(
+    queue: &Mutex<VecDeque<T>>,
+    cond: &Condvar,
+    timeout: Duration,
+    done: impl Fn() -> bool,
+) {
+    let guard = queue.lock().expect("shard queue poisoned");
+    let _ = cond
+        .wait_timeout_while(guard, timeout, |q| q.is_empty() && !done())
+        .expect("shard queue poisoned");
 }
 
 /// Pops from the worker's own shard, else steals the oldest item from
@@ -1014,4 +1034,30 @@ pub fn run_one(spec: &JobSpec, options: &ServeOptions) -> Response {
     let mut sup = supervisor(options);
     let pool = Arc::new(ScratchPool::new());
     run_job(spec, &mut sup, &pool, None, options)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    #[test]
+    fn idle_wait_returns_at_once_for_an_already_queued_job() {
+        // The job arrived between the worker's empty pop and its wait,
+        // and its notify went to nobody: the wait must not sleep.
+        let queue = Mutex::new(VecDeque::from([1u32]));
+        let cond = Condvar::new();
+        let start = Instant::now();
+        wait_for_work(&queue, &cond, Duration::from_secs(30), || false);
+        assert!(start.elapsed() < Duration::from_secs(10), "slept {:?}", start.elapsed());
+    }
+
+    #[test]
+    fn idle_wait_returns_at_once_when_producers_are_done() {
+        let queue: Mutex<VecDeque<u32>> = Mutex::new(VecDeque::new());
+        let cond = Condvar::new();
+        let start = Instant::now();
+        wait_for_work(&queue, &cond, Duration::from_secs(30), || true);
+        assert!(start.elapsed() < Duration::from_secs(10), "slept {:?}", start.elapsed());
+    }
 }

@@ -9,34 +9,25 @@
 //! replay produces the same `Completed` record the crashed daemon
 //! would have written.
 //!
-//! Appends are group-committed on a dedicated writer thread (batch of
-//! [`GROUP_COMMIT_RECORDS`] or [`GROUP_COMMIT_DEADLINE`], whichever
-//! comes first), the same discipline as the campaign journal: one
-//! `fdatasync` amortized over a burst of jobs instead of one per job.
-//! Torn tails from a crash are tolerated and truncated on reopen via
-//! the shared `rigid_supervise::journal` scan helpers.
+//! The file is a `rigid_supervise::journal` record log: this module
+//! only defines its header and record types and the fold that replays
+//! them. A dedicated writer thread appends the records and
+//! group-commits them under the log's policy, so one `fdatasync` is
+//! amortized over a burst of jobs instead of paid per job. A torn tail
+//! from a crash is dropped on reopen and truncated before the first
+//! append.
 
 use crate::protocol::JobSpec;
-use rigid_supervise::journal::{complete_lines, open_validated_append, scan_records};
+use rigid_supervise::journal::{read_log, JournalError, JournalWriter};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs::File;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Schema tag on the journal's header line.
 pub const SERVE_SCHEMA: &str = "catbatch-serve-journal/v1";
-
-/// Group-commit batch size: a sync is forced once this many records
-/// are buffered.
-pub const GROUP_COMMIT_RECORDS: usize = 64;
-
-/// Group-commit deadline: a sync is forced once the oldest buffered
-/// record has waited this long.
-pub const GROUP_COMMIT_DEADLINE: Duration = Duration::from_millis(25);
 
 /// The journal header line.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -115,8 +106,8 @@ impl JobRecord {
     }
 }
 
-/// Everything a scan recovers from an existing journal.
-#[derive(Debug)]
+/// Everything a replay recovers from an existing journal.
+#[derive(Debug, Default)]
 pub struct JournalState {
     /// Accepted jobs with no terminal record, in first-submission
     /// order: the restart backlog.
@@ -184,37 +175,15 @@ pub fn aggregate(terminal: &[JobRecord]) -> Aggregates {
     agg
 }
 
-/// Scans an existing journal: validates the header, tolerates a torn
-/// tail, and splits records into the restart backlog and the terminal
-/// set. Errors are strings — the daemon refuses to start over a
-/// journal it cannot make sense of rather than silently dropping jobs.
-pub fn scan(path: &Path) -> Result<(JournalState, bool, u64), String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read journal {}: {e}", path.display()))?;
-    let lines = complete_lines(&text);
-    let Some(&(_, header_line, _)) = lines.lines.first() else {
-        return Err(format!("journal {} has no header", path.display()));
-    };
-    let header: ServeHeader = serde_json::from_str(header_line)
-        .map_err(|e| format!("journal {} header is invalid: {e}", path.display()))?;
-    if header.schema != SERVE_SCHEMA {
-        return Err(format!(
-            "journal {} has schema {:?}, expected {SERVE_SCHEMA:?}",
-            path.display(),
-            header.schema
-        ));
-    }
-    let rs = scan_records(&lines, |line| {
-        serde_json::from_str::<JobRecord>(line).map_err(|e| e.to_string())
-    })
-    .map_err(|(lineno, msg)| format!("journal {} line {lineno}: {msg}", path.display()))?;
-
+/// Folds a journal's records into the restart backlog and the
+/// terminal set.
+fn replay(records: Vec<JobRecord>, torn_tail: bool) -> JournalState {
     let mut submitted: BTreeMap<u64, JobSpec> = BTreeMap::new();
     let mut submit_order: Vec<u64> = Vec::new();
     let mut idem_by_id: BTreeMap<u64, u64> = BTreeMap::new();
     let mut terminal_ids: BTreeSet<u64> = BTreeSet::new();
     let mut terminal: Vec<JobRecord> = Vec::new();
-    for rec in rs.records {
+    for rec in records {
         match rec {
             JobRecord::Submitted { id, scheduler, instance, idem, .. } => {
                 if let std::collections::btree_map::Entry::Vacant(slot) = submitted.entry(id) {
@@ -247,11 +216,7 @@ pub fn scan(path: &Path) -> Result<(JournalState, bool, u64), String> {
         .filter(|id| !terminal_ids.contains(id))
         .map(|id| submitted.remove(&id).expect("ordered id is in the map"))
         .collect();
-    Ok((
-        JournalState { pending, terminal, idem_by_id, torn_tail: rs.torn_tail },
-        rs.torn_tail,
-        rs.valid_len,
-    ))
+    JournalState { pending, terminal, idem_by_id, torn_tail }
 }
 
 enum Msg {
@@ -293,33 +258,24 @@ pub struct ServeJournal {
 impl ServeJournal {
     /// Opens (or creates) the journal at `path`. Returns the handle and
     /// the recovered state: for a fresh journal the state is empty.
+    /// Errors are strings: the daemon refuses to start over a journal
+    /// it cannot make sense of rather than silently dropping jobs.
     pub fn open(path: &Path) -> Result<(ServeJournal, JournalState), String> {
-        let (state, file) = if path.exists() {
-            let (state, torn_tail, valid_len) = scan(path)?;
-            let file = open_validated_append(path, torn_tail, valid_len)
-                .map_err(|e| format!("cannot reopen journal {}: {e}", path.display()))?;
-            (state, file)
+        let opened = if path.exists() {
+            read_log::<ServeHeader, JobRecord>(path, &[SERVE_SCHEMA]).and_then(|log| {
+                let writer = JournalWriter::append_validated(path, &log)?;
+                Ok((writer, replay(log.records, log.torn_tail)))
+            })
         } else {
             let header = ServeHeader { schema: SERVE_SCHEMA.to_string() };
-            let mut file = File::create(path)
-                .map_err(|e| format!("cannot create journal {}: {e}", path.display()))?;
-            let line = serde_json::to_string(&header).expect("header serializes");
-            file.write_all(line.as_bytes())
-                .and_then(|()| file.write_all(b"\n"))
-                .and_then(|()| file.sync_data())
-                .map_err(|e| format!("cannot write journal header: {e}"))?;
-            let state = JournalState {
-                pending: Vec::new(),
-                terminal: Vec::new(),
-                idem_by_id: BTreeMap::new(),
-                torn_tail: false,
-            };
-            (state, file)
+            JournalWriter::create(path, &header).map(|writer| (writer, JournalState::default()))
         };
+        let (writer, state) =
+            opened.map_err(|e| format!("cannot open journal {}: {e}", path.display()))?;
         let (tx, rx) = mpsc::channel::<Msg>();
         let handle = std::thread::Builder::new()
             .name("serve-journal".into())
-            .spawn(move || writer_loop(file, rx))
+            .spawn(move || writer_loop(writer, rx))
             .map_err(|e| format!("cannot spawn journal thread: {e}"))?;
         let journal =
             ServeJournal { tx: Some(tx), handle: Some(handle), path: path.to_path_buf() };
@@ -360,48 +316,28 @@ impl Drop for ServeJournal {
     }
 }
 
-fn writer_loop(mut file: File, rx: mpsc::Receiver<Msg>) {
-    let mut buf = String::new();
-    let mut buffered = 0usize;
-    let mut oldest: Option<Instant> = None;
-    let commit = |file: &mut File, buf: &mut String, buffered: &mut usize| {
-        if !buf.is_empty() {
-            // A failed append is unrecoverable mid-run; the affected
-            // jobs simply replay on restart, so log and carry on.
-            if let Err(e) = file.write_all(buf.as_bytes()).and_then(|()| file.sync_data()) {
-                eprintln!("serve journal append failed: {e}");
-            }
-            buf.clear();
-            *buffered = 0;
+fn writer_loop(mut writer: JournalWriter, rx: mpsc::Receiver<Msg>) {
+    // A failed append is unrecoverable mid-run; the affected jobs simply
+    // replay on restart, so log and carry on.
+    let report = |result: Result<(), JournalError>| {
+        if let Err(e) = result {
+            eprintln!("serve journal append failed: {e}");
         }
     };
     loop {
         match rx.recv_timeout(Duration::from_millis(5)) {
-            Ok(Msg::Record(rec)) => {
-                buf.push_str(&serde_json::to_string(&*rec).expect("record serializes"));
-                buf.push('\n');
-                buffered += 1;
-                if oldest.is_none() {
-                    oldest = Some(Instant::now());
-                }
-            }
+            Ok(Msg::Record(rec)) => report(writer.record_buffered(&*rec)),
             Ok(Msg::Flush(ack)) => {
-                commit(&mut file, &mut buf, &mut buffered);
-                oldest = None;
+                report(writer.sync());
                 let _ = ack.send(());
             }
             Ok(Msg::Close) | Err(RecvTimeoutError::Disconnected) => {
-                commit(&mut file, &mut buf, &mut buffered);
+                report(writer.sync());
                 return;
             }
             Err(RecvTimeoutError::Timeout) => {}
         }
-        let deadline_hit =
-            oldest.is_some_and(|t| t.elapsed() >= GROUP_COMMIT_DEADLINE);
-        if buffered >= GROUP_COMMIT_RECORDS || deadline_hit {
-            commit(&mut file, &mut buf, &mut buffered);
-            oldest = None;
-        }
+        report(writer.commit_if_due());
     }
 }
 

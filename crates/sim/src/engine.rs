@@ -39,8 +39,7 @@
 //!
 //! # Entry point
 //!
-//! One builder, [`EngineConfig`], replaces the old `run` /
-//! `try_run` / `try_run_faulty` / `try_run_budgeted` zoo:
+//! One builder, [`EngineConfig`], configures every run:
 //!
 //! ```ignore
 //! let result = EngineConfig::new()
@@ -51,8 +50,7 @@
 //! ```
 //!
 //! [`EngineConfig::run`] is the panicking variant for tests and callers
-//! that treat violations as bugs. The old free functions remain as thin
-//! deprecated wrappers for the reference/differential harness.
+//! that treat violations as bugs.
 
 use crate::calendar::{CalendarQueue, Event};
 use crate::error::{BudgetKind, RunError, SchedulerViolation, SourceViolation};
@@ -449,65 +447,6 @@ impl<'a> EngineConfig<'a> {
             Err(err) => panic!("{err}"),
         }
     }
-}
-
-/// Runs `scheduler` against `source` until every revealed task completes,
-/// panicking on any violation.
-#[deprecated(note = "use `EngineConfig::new().run(source, scheduler)`")]
-pub fn run(source: &mut dyn InstanceSource, scheduler: &mut dyn OnlineScheduler) -> RunResult {
-    EngineConfig::new().run(source, scheduler)
-}
-
-/// Runs `scheduler` against `source` until every revealed task
-/// completes, returning contract violations as typed [`RunError`]s.
-#[deprecated(note = "use `EngineConfig::new().try_run(source, scheduler)`")]
-pub fn try_run(
-    source: &mut dyn InstanceSource,
-    scheduler: &mut dyn OnlineScheduler,
-) -> Result<RunResult, RunError> {
-    EngineConfig::new().try_run(source, scheduler)
-}
-
-/// Runs `scheduler` against `source` under a [`FaultModel`].
-#[deprecated(note = "use `EngineConfig::new().faults(faults).try_run(source, scheduler)`")]
-pub fn try_run_faulty(
-    source: &mut dyn InstanceSource,
-    scheduler: &mut dyn OnlineScheduler,
-    faults: &mut dyn FaultModel,
-) -> Result<RunResult, RunError> {
-    EngineConfig::new().faults(faults).try_run(source, scheduler)
-}
-
-/// Runs `scheduler` against `source` under a [`FaultModel`] and a hard
-/// [`RunBudget`].
-#[deprecated(
-    note = "use `EngineConfig::new().faults(faults).budget(budget).try_run(source, scheduler)`"
-)]
-pub fn try_run_budgeted(
-    source: &mut dyn InstanceSource,
-    scheduler: &mut dyn OnlineScheduler,
-    faults: &mut dyn FaultModel,
-    budget: RunBudget,
-) -> Result<RunResult, RunError> {
-    EngineConfig::new().faults(faults).budget(budget).try_run(source, scheduler)
-}
-
-/// Runs with a fault model, a budget, and caller-owned [`EngineScratch`].
-#[deprecated(
-    note = "use `EngineConfig::new().faults(faults).budget(budget).scratch(scratch).try_run(source, scheduler)`"
-)]
-pub fn try_run_budgeted_reusing(
-    source: &mut dyn InstanceSource,
-    scheduler: &mut dyn OnlineScheduler,
-    faults: &mut dyn FaultModel,
-    budget: RunBudget,
-    scratch: &mut EngineScratch,
-) -> Result<RunResult, RunError> {
-    EngineConfig::new()
-        .faults(faults)
-        .budget(budget)
-        .scratch(scratch)
-        .try_run(source, scheduler)
 }
 
 /// The engine loop proper. All entry points funnel here.

@@ -5,9 +5,9 @@
 //! illegal release stream (the online model's revelation rules,
 //! Section 3.1 of the paper); a [`SchedulerViolation`] means the
 //! [`OnlineScheduler`] made an illegal move. Both are recoverable
-//! through [`try_run`](crate::engine::try_run); the panicking
-//! [`run`](crate::engine::run) wrapper remains for tests and callers
-//! that treat violations as bugs.
+//! through [`EngineConfig::try_run`](crate::EngineConfig::try_run); the
+//! panicking [`EngineConfig::run`](crate::EngineConfig::run) remains for
+//! tests and callers that treat violations as bugs.
 //!
 //! [`InstanceSource`]: rigid_dag::InstanceSource
 //! [`OnlineScheduler`]: crate::OnlineScheduler

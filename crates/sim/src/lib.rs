@@ -64,8 +64,6 @@ pub mod svg;
 pub mod trace;
 pub mod scheduler;
 
-#[allow(deprecated)]
-pub use engine::{run, try_run, try_run_budgeted, try_run_budgeted_reusing, try_run_faulty};
 pub use engine::{EngineConfig, EngineScratch, EngineStats, RunBudget, RunResult};
 pub use error::{BudgetKind, RunError, SchedulerViolation, SourceViolation};
 pub use fault::{Attempt, AttemptOutcome, AttemptRecord, FaultLog, FaultModel, NoFaults};

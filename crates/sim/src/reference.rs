@@ -47,7 +47,7 @@ struct Running {
     outcome: RunningOutcome,
 }
 
-/// Stepping-engine counterpart of [`crate::engine::run`].
+/// Stepping-engine counterpart of [`EngineConfig::run`](crate::EngineConfig::run).
 ///
 /// # Panics
 /// Panics on any contract violation, exactly like the main entry point.
@@ -58,7 +58,8 @@ pub fn run(source: &mut dyn InstanceSource, scheduler: &mut dyn OnlineScheduler)
     }
 }
 
-/// Stepping-engine counterpart of [`crate::engine::try_run`].
+/// Stepping-engine counterpart of
+/// [`EngineConfig::try_run`](crate::EngineConfig::try_run).
 pub fn try_run(
     source: &mut dyn InstanceSource,
     scheduler: &mut dyn OnlineScheduler,
@@ -66,8 +67,10 @@ pub fn try_run(
     try_run_faulty(source, scheduler, &mut NoFaults)
 }
 
-/// Stepping-engine counterpart of [`crate::engine::try_run_faulty`]:
-/// the original per-step loop over `HashMap`/`BTreeMap` state.
+/// Stepping-engine counterpart of
+/// [`EngineConfig::try_run`](crate::EngineConfig::try_run) under a
+/// [`FaultModel`]: the original per-step loop over `HashMap`/`BTreeMap`
+/// state.
 pub fn try_run_faulty(
     source: &mut dyn InstanceSource,
     scheduler: &mut dyn OnlineScheduler,

@@ -1,9 +1,7 @@
 //! The resumable campaign loop: supervised trials + journaled
 //! checkpoints + graceful interrupt points.
 
-use crate::journal::{
-    read_journal, JournalError, JournalHeader, JournalWriter, ShardInfo, JOURNAL_SCHEMA,
-};
+use crate::journal::{open_campaign_journal, JournalError, JournalWriter, ShardInfo};
 use crate::shard::ShardSpec;
 use crate::supervisor::{run_supervised, SharedQuarantine, Supervisor, SupervisorPolicy};
 use rigid_dag::{instance_fingerprint, Instance, StableHasher, StaticSource};
@@ -18,7 +16,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How a campaign should be supervised, journaled, and budgeted.
 #[derive(Clone, Debug, Default)]
@@ -131,61 +129,9 @@ pub fn campaign_fingerprint(
     h.finish()
 }
 
-/// Group commit: fsync the journal after this many buffered records…
-const GROUP_COMMIT_BATCH: usize = 64;
-/// …or once the oldest unsynced record is this stale, whichever first.
-const GROUP_COMMIT_DEADLINE: Duration = Duration::from_millis(25);
 /// How often the parallel coordinator wakes while waiting for an
-/// out-of-order result, to honor the flush deadline.
+/// out-of-order result, to honor the group-commit deadline.
 const COORDINATOR_POLL: Duration = Duration::from_millis(5);
-
-/// Batches journal appends into group commits: records are written (one
-/// `write` each, surviving a process kill) but fsynced only per batch or
-/// per deadline — one disk stall per [`GROUP_COMMIT_BATCH`] trials
-/// instead of one per trial. [`flush`](GroupCommit::flush) runs on
-/// interrupt and at campaign end, so a graceful stop loses nothing; an
-/// outright power loss costs at most the unsynced suffix, which resume
-/// re-executes.
-struct GroupCommit<'a> {
-    writer: Option<&'a mut JournalWriter>,
-    pending: usize,
-    dirty_since: Option<Instant>,
-}
-
-impl<'a> GroupCommit<'a> {
-    fn new(writer: Option<&'a mut JournalWriter>) -> Self {
-        GroupCommit { writer, pending: 0, dirty_since: None }
-    }
-
-    fn record(&mut self, trial: &TrialStats) -> Result<(), JournalError> {
-        let Some(w) = self.writer.as_deref_mut() else { return Ok(()) };
-        w.record_buffered(trial)?;
-        self.pending += 1;
-        self.dirty_since.get_or_insert_with(Instant::now);
-        if self.pending >= GROUP_COMMIT_BATCH {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    fn flush_if_due(&mut self) -> Result<(), JournalError> {
-        if self.dirty_since.is_some_and(|t| t.elapsed() >= GROUP_COMMIT_DEADLINE) {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self) -> Result<(), JournalError> {
-        if self.pending > 0 {
-            if let Some(w) = self.writer.as_deref_mut() {
-                w.sync()?;
-            }
-        }
-        self.pending = 0;
-        self.dirty_since = None;
-        Ok(())
-    }
-}
 
 /// The `TrialStats` recorded when the supervision envelope — not the
 /// engine — rejected the trial (panicked, timed out, quarantined).
@@ -249,71 +195,37 @@ where
     };
     let shard_info: Option<ShardInfo> = options.shard.map(|spec| spec.info(seeds));
 
-    // Resume: load the journal and index its records by seed.
+    // The baseline: reused from the journal header on resume, computed
+    // (with panic capture — nothing may kill the campaign) otherwise.
+    let baseline = || -> Result<Time, CampaignError> {
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            let mut sched = make_scheduler();
+            EngineConfig::new().try_run(&mut StaticSource::new(instance.clone()), &mut sched)
+        }))
+        .map_err(|p| CampaignError::BaselinePanicked { message: rigid_faults::panic_message(p) })?;
+        Ok(run.map_err(CampaignError::Baseline)?.makespan())
+    };
+
+    // Open the journal (resuming it when asked) and index its records
+    // by seed.
     let mut replay: BTreeMap<u64, TrialStats> = BTreeMap::new();
-    let mut torn_tail = false;
-    let mut writer: Option<JournalWriter> = None;
-    let mut baseline: Option<Time> = None;
-    if let Some(path) = &options.journal {
-        if options.resume && path.exists() {
-            let contents = read_journal(path)?;
-            if contents.header.fingerprint != fingerprint_hex {
-                return Err(JournalError::FingerprintMismatch {
-                    journal: contents.header.fingerprint,
-                    campaign: fingerprint_hex,
-                }
-                .into());
-            }
-            if contents.shard != shard_info {
-                let describe = |s: &Option<ShardInfo>| match s {
-                    Some(info) => info.to_string(),
-                    None => "unsharded".to_string(),
-                };
-                return Err(JournalError::ShardMismatch {
-                    journal: describe(&contents.shard),
-                    campaign: describe(&shard_info),
-                }
-                .into());
-            }
-            baseline = Some(contents.header.fault_free_makespan);
-            torn_tail = contents.torn_tail;
-            writer = Some(JournalWriter::append_validated(path, &contents)?);
+    let (mut writer, fault_free_makespan, torn_tail) = match &options.journal {
+        Some(path) => {
+            let (writer, contents) = open_campaign_journal(
+                path,
+                options.resume,
+                &fingerprint_hex,
+                &scheduler_name,
+                shard_info.as_ref(),
+                baseline,
+            )?;
             for t in contents.trials {
                 replay.entry(t.seed).or_insert(t);
             }
+            (Some(writer), contents.header.fault_free_makespan, contents.torn_tail)
         }
-    }
-
-    // The baseline: reused from the journal header on resume, computed
-    // (with panic capture — nothing may kill the campaign) otherwise.
-    let fault_free_makespan = match baseline {
-        Some(m) => m,
-        None => {
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                let mut sched = make_scheduler();
-                EngineConfig::new().try_run(&mut StaticSource::new(instance.clone()), &mut sched)
-            }))
-            .map_err(|p| CampaignError::BaselinePanicked {
-                message: rigid_faults::panic_message(p),
-            })?;
-            run.map_err(CampaignError::Baseline)?.makespan()
-        }
+        None => (None, baseline()?, false),
     };
-
-    if writer.is_none() {
-        if let Some(path) = &options.journal {
-            let header = JournalHeader {
-                schema: JOURNAL_SCHEMA.to_string(),
-                fingerprint: fingerprint_hex,
-                scheduler: scheduler_name,
-                fault_free_makespan,
-            };
-            writer = Some(match &shard_info {
-                Some(info) => JournalWriter::create_shard(path, &header, info)?,
-                None => JournalWriter::create(path, &header)?,
-            });
-        }
-    }
 
     let mut trials = Vec::with_capacity(seeds.len());
     let mut executed = 0;
@@ -375,7 +287,6 @@ where
         let scratch: Arc<ScratchPool<EngineScratch>> = Arc::new(ScratchPool::new());
         let cursor = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, TrialStats)>();
-        let mut gc = GroupCommit::new(writer.as_mut());
         let mut journal_error: Option<JournalError> = None;
         let policy = options.policy;
         let budget = options.budget;
@@ -441,7 +352,8 @@ where
                     match reorder.recv_index(idx, COORDINATOR_POLL) {
                         Ok(t) => break t,
                         Err(ReorderWait::Tick) => {
-                            if let Err(e) = gc.flush_if_due() {
+                            let due = writer.as_mut().map_or(Ok(()), JournalWriter::commit_if_due);
+                            if let Err(e) = due {
                                 journal_error = Some(e);
                                 break 'seeds;
                             }
@@ -457,7 +369,10 @@ where
                         }
                     }
                 };
-                if let Err(e) = gc.record(&trial) {
+                let journaled = writer.as_mut().map_or(Ok(()), |w| {
+                    w.record_buffered(&trial).and_then(|()| w.commit_if_due())
+                });
+                if let Err(e) = journaled {
                     journal_error = Some(e);
                     break 'seeds;
                 }
@@ -468,7 +383,7 @@ where
         });
         // Flush on interrupt and at completion alike: every journaled
         // record is durable before the campaign returns.
-        let flushed = gc.flush();
+        let flushed = writer.as_mut().map_or(Ok(()), JournalWriter::sync);
         if let Some(e) = journal_error {
             return Err(e.into());
         }

@@ -1,17 +1,38 @@
-//! The append-only campaign journal (`catbatch-journal/v1`).
+//! The workspace's one append-only record log, and the campaign journal
+//! (`catbatch-journal/v1`, shard `/v2`) built on it.
 //!
-//! A journal is a JSONL file: one header line, then one record per
-//! finished trial, each flushed **and fsynced** before the campaign
-//! moves on — so after a crash the journal holds every trial that
-//! finished, plus at most one torn trailing line (tolerated and
-//! discarded on read). Records are [`TrialStats`] serialized verbatim;
-//! replaying a record *is* re-obtaining the trial's result, which is
-//! what makes resumed aggregates byte-identical.
+//! A record log is a JSONL file: one header line carrying a `schema`
+//! field, then one record per line. [`JournalWriter`] is its only
+//! writer and [`read_log`] its only reader. The campaign journal (this
+//! module), the serve journal (`rigid_serve::journal`) and the bench
+//! scenario journal (`rigid_bench::perf`) are each a header type, a
+//! record type and the fold that replays the records; this module alone
+//! decides how they reach the disk:
 //!
-//! The header pins the schema version and a stable fingerprint of
-//! `(instance, fault config, scheduler, budget)` — resuming against a
-//! journal written for a different scenario is a typed error, not a
-//! silently mixed data set.
+//! * **Header.** Written and fsynced before any record. On read, its
+//!   `schema` must be one the caller accepts
+//!   ([`JournalError::SchemaMismatch`] otherwise).
+//! * **Torn tail.** A crash can leave an unterminated fragment, or a
+//!   final line that does not parse. Both are dropped on read and cut
+//!   off by [`JournalWriter::append_validated`] before the first append,
+//!   so a new record starts on its own line. Damage anywhere earlier is
+//!   [`JournalError::Corrupt`].
+//! * **One `write` per record**, so a record survives a process kill as
+//!   soon as the call returns.
+//! * **Group commit.** [`JournalWriter::record`] fsyncs every record.
+//!   [`JournalWriter::record_buffered`] leaves the fsync to
+//!   [`commit_if_due`](JournalWriter::commit_if_due) (once
+//!   [`GROUP_COMMIT_RECORDS`] records are pending or the oldest has
+//!   waited [`GROUP_COMMIT_DEADLINE`]) or to
+//!   [`sync`](JournalWriter::sync). A power loss costs at most the
+//!   unsynced suffix, which the torn-tail rule and resume absorb.
+//!
+//! Campaign records are [`TrialStats`] serialized verbatim: replaying a
+//! record *is* re-obtaining the trial's result, which is what makes
+//! resumed aggregates byte-identical. The campaign header pins the
+//! schema version and a stable fingerprint of `(instance, fault config,
+//! scheduler, budget)`, so resuming against a journal written for a
+//! different scenario is a typed error, not a silently mixed data set.
 
 use rigid_faults::TrialStats;
 use rigid_time::Time;
@@ -19,7 +40,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// The journal schema this crate writes and reads.
 pub const JOURNAL_SCHEMA: &str = "catbatch-journal/v1";
@@ -29,6 +51,17 @@ pub const JOURNAL_SCHEMA: &str = "catbatch-journal/v1";
 /// `merge` can validate that a set of shard files belongs together.
 /// Plain (unsharded) journals keep the v1 schema byte-for-byte.
 pub const SHARD_SCHEMA: &str = "catbatch-journal/v2";
+
+/// The schemas [`read_journal`] accepts.
+const CAMPAIGN_SCHEMAS: &[&str] = &[JOURNAL_SCHEMA, SHARD_SCHEMA];
+
+/// Group commit: buffered records are fsynced once this many are
+/// pending…
+pub const GROUP_COMMIT_RECORDS: usize = 64;
+
+/// …or once the oldest pending record has waited this long, whichever
+/// comes first.
+pub const GROUP_COMMIT_DEADLINE: Duration = Duration::from_millis(25);
 
 /// The first line of every journal.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -93,6 +126,13 @@ struct ShardHeaderLine {
     seeds_fp: String,
 }
 
+/// The one field every header line shares, read before the header's
+/// own type.
+#[derive(Deserialize)]
+struct SchemaTag {
+    schema: String,
+}
+
 /// Why a journal could not be written or read.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JournalError {
@@ -105,10 +145,12 @@ pub enum JournalError {
     },
     /// The file has no header line.
     MissingHeader,
-    /// The header names a schema this crate does not speak.
+    /// The header names a schema the reader does not speak.
     SchemaMismatch {
         /// The schema string found in the file.
         found: String,
+        /// The schemas the reader accepts.
+        expected: &'static [&'static str],
     },
     /// The journal was written for a different scenario.
     FingerprintMismatch {
@@ -141,10 +183,15 @@ impl fmt::Display for JournalError {
         match self {
             JournalError::Io { path, message } => write!(f, "journal {path}: {message}"),
             JournalError::MissingHeader => write!(f, "journal has no header line"),
-            JournalError::SchemaMismatch { found } => write!(
+            JournalError::SchemaMismatch { found, expected } => write!(
                 f,
-                "journal schema {found:?} is neither {JOURNAL_SCHEMA:?} nor {SHARD_SCHEMA:?} — \
-                 written by an incompatible version"
+                "journal schema {found:?} is not {} — written by an incompatible version \
+                 or another tool",
+                expected
+                    .iter()
+                    .map(|s| format!("{s:?}"))
+                    .collect::<Vec<_>>()
+                    .join(" or ")
             ),
             JournalError::FingerprintMismatch { journal, campaign } => write!(
                 f,
@@ -165,27 +212,41 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-fn io_err(path: &Path, e: std::io::Error) -> JournalError {
-    JournalError::Io { path: path.display().to_string(), message: e.to_string() }
+fn io_err(path: &Path, e: impl fmt::Display) -> JournalError {
+    JournalError::Io {
+        path: path.display().to_string(),
+        message: e.to_string(),
+    }
 }
 
-/// Appends records to a journal, fsyncing each one.
+/// Appends records to a journal: one `write` per record, fsynced per
+/// record ([`record`](Self::record)) or by group commit.
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
-    path: std::path::PathBuf,
+    path: PathBuf,
+    /// Records written since the last fsync.
+    pending: usize,
+    /// When the oldest of them was written.
+    oldest: Option<Instant>,
 }
 
 impl JournalWriter {
-    /// Creates (truncating) a fresh journal and writes its header.
-    pub fn create(path: &Path, header: &JournalHeader) -> Result<Self, JournalError> {
+    fn over(file: File, path: &Path) -> Self {
+        JournalWriter {
+            file,
+            path: path.to_path_buf(),
+            pending: 0,
+            oldest: None,
+        }
+    }
+
+    /// Creates (truncating) a log at `path` whose first line is
+    /// `header`, fsynced before this returns.
+    pub fn create<H: Serialize>(path: &Path, header: &H) -> Result<Self, JournalError> {
         let file = File::create(path).map_err(|e| io_err(path, e))?;
-        let mut w = JournalWriter { file, path: path.to_path_buf() };
-        let json = serde_json::to_string(header).map_err(|e| JournalError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })?;
-        w.write_line(&json)?;
+        let mut w = JournalWriter::over(file, path);
+        w.record(header)?;
         Ok(w)
     }
 
@@ -210,164 +271,173 @@ impl JournalWriter {
             seed_count: shard.seed_count,
             seeds_fp: shard.seeds_fp.clone(),
         };
-        let file = File::create(path).map_err(|e| io_err(path, e))?;
-        let mut w = JournalWriter { file, path: path.to_path_buf() };
-        let json = serde_json::to_string(&line).map_err(|e| JournalError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })?;
-        w.write_line(&json)?;
-        Ok(w)
+        Self::create(path, &line)
     }
 
-    /// Opens an existing journal for appending (resume). The caller is
-    /// expected to have validated it with [`read_journal`] first.
-    pub fn append(path: &Path) -> Result<Self, JournalError> {
-        let file = open_validated_append(path, false, 0).map_err(|e| io_err(path, e))?;
-        Ok(JournalWriter { file, path: path.to_path_buf() })
+    /// Opens a log that [`read_log`] validated, for appending: first
+    /// truncates the torn tail the read found, so the next record starts
+    /// on its own line instead of merging into the crash artifact.
+    pub fn append_validated<H, R>(
+        path: &Path,
+        log: &RecordLog<H, R>,
+    ) -> Result<Self, JournalError> {
+        let open = || -> std::io::Result<File> {
+            if log.torn_tail {
+                let file = OpenOptions::new().write(true).open(path)?;
+                file.set_len(log.valid_len)?;
+                file.sync_data()?;
+            }
+            OpenOptions::new().append(true).open(path)
+        };
+        Ok(JournalWriter::over(
+            open().map_err(|e| io_err(path, e))?,
+            path,
+        ))
     }
 
-    /// Opens a validated journal for appending, first truncating any
-    /// torn trailing damage `contents` identified — so a record appended
-    /// after a crash artifact starts on its own line instead of merging
-    /// into the artifact's bytes.
-    pub fn append_validated(path: &Path, contents: &JournalContents) -> Result<Self, JournalError> {
-        let file = open_validated_append(path, contents.torn_tail, contents.valid_len)
-            .map_err(|e| io_err(path, e))?;
-        Ok(JournalWriter { file, path: path.to_path_buf() })
-    }
-
-    /// Appends one trial record and fsyncs it to disk before returning
-    /// — after this call the record survives a crash.
-    pub fn record(&mut self, trial: &TrialStats) -> Result<(), JournalError> {
-        self.record_buffered(trial)?;
+    /// Appends one record and fsyncs it before returning — after this
+    /// call the record survives a crash.
+    pub fn record<R: Serialize>(&mut self, record: &R) -> Result<(), JournalError> {
+        self.record_buffered(record)?;
         self.sync()
     }
 
-    /// Appends one trial record **without** fsyncing — the group-commit
-    /// half of [`record`](Self::record). The bytes reach the kernel
-    /// (surviving a process kill) but not necessarily the disk; callers
-    /// batch several records and then [`sync`](Self::sync) once, turning
-    /// N fsync stalls into one. A power loss before the sync costs at
-    /// most the unsynced suffix, which resume re-executes — and a torn
-    /// write inside that suffix is exactly the trailing damage
-    /// [`read_journal`] already tolerates.
-    pub fn record_buffered(&mut self, trial: &TrialStats) -> Result<(), JournalError> {
-        let json = serde_json::to_string(trial).map_err(|e| JournalError::Io {
-            path: self.path.display().to_string(),
-            message: e.to_string(),
-        })?;
-        let path = self.path.clone();
+    /// Appends one record **without** fsyncing: the bytes reach the
+    /// kernel (surviving a process kill) but not necessarily the disk.
+    /// [`commit_if_due`](Self::commit_if_due) or [`sync`](Self::sync)
+    /// makes them durable.
+    pub fn record_buffered<R: Serialize>(&mut self, record: &R) -> Result<(), JournalError> {
+        let mut line = serde_json::to_string(record).map_err(|e| io_err(&self.path, e))?;
+        line.push('\n');
         self.file
-            .write_all(format!("{json}\n").as_bytes())
-            .map_err(|e| io_err(&path, e))
+            .write_all(line.as_bytes())
+            .map_err(|e| io_err(&self.path, e))?;
+        self.pending += 1;
+        self.oldest.get_or_insert_with(Instant::now);
+        Ok(())
     }
 
-    /// Fsyncs everything appended so far (the commit of a group-commit
-    /// batch). A no-op-cheap call when nothing is pending.
+    /// Fsyncs the pending records if the group-commit policy says so:
+    /// [`GROUP_COMMIT_RECORDS`] are pending, or the oldest has waited
+    /// [`GROUP_COMMIT_DEADLINE`].
+    pub fn commit_if_due(&mut self) -> Result<(), JournalError> {
+        let due = self.pending >= GROUP_COMMIT_RECORDS
+            || self
+                .oldest
+                .is_some_and(|t| t.elapsed() >= GROUP_COMMIT_DEADLINE);
+        if due {
+            self.sync()
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Fsyncs every pending record. A no-op when nothing is pending.
     pub fn sync(&mut self) -> Result<(), JournalError> {
-        let path = self.path.clone();
-        self.file.sync_data().map_err(|e| io_err(&path, e))
-    }
-
-    fn write_line(&mut self, json: &str) -> Result<(), JournalError> {
-        let path = self.path.clone();
-        self.file
-            .write_all(format!("{json}\n").as_bytes())
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| io_err(&path, e))
-    }
-}
-
-/// The complete (newline-terminated, non-blank) lines of a JSONL file:
-/// 1-based line number, trimmed text, and the byte offset just past the
-/// terminating newline. Produced by [`complete_lines`], consumed by
-/// [`scan_records`] — the shared first half of every journal reader.
-#[derive(Clone, Debug)]
-pub struct CompleteLines<'a> {
-    /// `(line_number, trimmed_text, end_offset)` per complete line.
-    pub lines: Vec<(usize, &'a str, usize)>,
-    /// Whether the file ends in an unterminated fragment (a torn write
-    /// from a crash).
-    pub trailing_fragment: bool,
-}
-
-/// Splits journal text into its complete lines. Only newline-terminated
-/// lines count — a trailing fragment is flagged, never parsed.
-pub fn complete_lines(text: &str) -> CompleteLines<'_> {
-    let trailing_fragment = !text.is_empty() && !text.ends_with('\n');
-    let mut offset = 0usize;
-    let mut lines = Vec::new();
-    for (i, l) in text.split_inclusive('\n').enumerate() {
-        offset += l.len();
-        if l.ends_with('\n') && !l.trim().is_empty() {
-            lines.push((i + 1, l.trim(), offset));
+        if self.pending > 0 {
+            self.file.sync_data().map_err(|e| io_err(&self.path, e))?;
+            self.pending = 0;
+            self.oldest = None;
         }
+        Ok(())
     }
-    CompleteLines { lines, trailing_fragment }
 }
 
-/// The records of a journal scan: everything after the header that
-/// parsed, plus the shared crash-damage verdict.
+/// A record log as [`read_log`] found it.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RecordScan<T> {
-    /// Every record that parsed, in file order.
-    pub records: Vec<T>,
+pub struct RecordLog<H, R> {
+    /// The header line.
+    pub header: H,
+    /// Every intact record, in file order.
+    pub records: Vec<R>,
     /// Whether trailing crash damage (an unterminated fragment or a
-    /// garbled final line) was tolerated and excluded.
+    /// garbled final line) was dropped.
     pub torn_tail: bool,
-    /// Length in bytes of the valid prefix (header + intact records).
-    /// Everything past this offset is crash damage to truncate before
-    /// appending.
-    pub valid_len: u64,
+    /// Length in bytes of the intact prefix; everything past it is the
+    /// torn tail [`JournalWriter::append_validated`] truncates.
+    valid_len: u64,
 }
 
-/// Parses the record lines after the header with the shared torn-tail
-/// tolerance rule every journal reader follows: a record that fails to
-/// parse is a tolerated crash artifact **iff** it is the final complete
-/// line (a torn write that happened to end in `'\n'`); any earlier
-/// parse failure is real damage, returned as `(line_number, message)`.
-pub fn scan_records<T>(
-    scan: &CompleteLines<'_>,
-    mut parse: impl FnMut(&str) -> Result<T, String>,
-) -> Result<RecordScan<T>, (usize, String)> {
-    let mut torn_tail = scan.trailing_fragment;
-    let header_end = scan.lines.first().map_or(0, |&(_, _, end)| end);
-    let mut records = Vec::new();
-    let mut valid_len = header_end as u64;
-    let lines = scan.lines.get(1..).unwrap_or_default();
-    for (pos, &(lineno, line, end)) in lines.iter().enumerate() {
-        match parse(line) {
-            Ok(t) => {
-                records.push(t);
-                valid_len = end as u64;
-            }
-            Err(_) if pos + 1 == lines.len() => torn_tail = true,
-            Err(message) => return Err((lineno, message)),
+/// Reads a record log whose header `schema` is one of `schemas`.
+///
+/// Tolerates exactly the damage a kill can cause — a final line without
+/// its newline, or a final line that does not parse — and rejects
+/// everything else as typed [`JournalError`]s.
+pub fn read_log<H: Deserialize, R: Deserialize>(
+    path: &Path,
+    schemas: &'static [&'static str],
+) -> Result<RecordLog<H, R>, JournalError> {
+    read_with(path, schemas, |_, line| parse_header(line))
+}
+
+/// Parses a header line whose schema is already checked; a missing
+/// field is damage to line 1.
+fn parse_header<H: Deserialize>(line: &str) -> Result<H, JournalError> {
+    serde_json::from_str(line).map_err(|e| JournalError::Corrupt {
+        line: 1,
+        message: format!("header: {e}"),
+    })
+}
+
+/// [`read_log`] with a caller-parsed header: `header` gets the checked
+/// schema and the header line's text.
+fn read_with<H, R: Deserialize>(
+    path: &Path,
+    schemas: &'static [&'static str],
+    header: impl FnOnce(&str, &str) -> Result<H, JournalError>,
+) -> Result<RecordLog<H, R>, JournalError> {
+    let text = std::fs::read_to_string(path).map_err(|e| io_err(path, e))?;
+    // The complete (newline-terminated, non-blank) lines: 1-based line
+    // number, trimmed text, and the byte offset just past the newline.
+    // An unterminated trailing fragment is never parsed.
+    let mut lines = Vec::new();
+    let mut end = 0;
+    for (i, l) in text.split_inclusive('\n').enumerate() {
+        end += l.len();
+        if l.ends_with('\n') && !l.trim().is_empty() {
+            lines.push((i + 1, l.trim(), end as u64));
         }
     }
-    Ok(RecordScan { records, torn_tail, valid_len })
-}
-
-/// Opens a journal file for appending, first truncating torn trailing
-/// damage a scan identified — the shared repair step of every
-/// resume-append path, so a record appended after a crash artifact
-/// starts on its own line instead of merging into the artifact's bytes.
-pub fn open_validated_append(
-    path: &Path,
-    torn_tail: bool,
-    valid_len: u64,
-) -> std::io::Result<File> {
-    if torn_tail {
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(valid_len)?;
-        file.sync_data()?;
+    let Some(&(_, first, header_end)) = lines.first() else {
+        return Err(JournalError::MissingHeader);
+    };
+    let tag: SchemaTag = serde_json::from_str(first).map_err(|_| JournalError::MissingHeader)?;
+    if !schemas.contains(&tag.schema.as_str()) {
+        return Err(JournalError::SchemaMismatch {
+            found: tag.schema,
+            expected: schemas,
+        });
     }
-    OpenOptions::new().append(true).open(path)
+    let mut log = RecordLog {
+        header: header(&tag.schema, first)?,
+        records: Vec::new(),
+        torn_tail: !text.is_empty() && !text.ends_with('\n'),
+        valid_len: header_end,
+    };
+    // A record that fails to parse is a tolerated crash artifact iff it
+    // is the final complete line (a torn write that happened to end in
+    // '\n'); any earlier failure is real damage.
+    let body = &lines[1..];
+    for (pos, &(lineno, line, end)) in body.iter().enumerate() {
+        match serde_json::from_str(line) {
+            Ok(record) => {
+                log.records.push(record);
+                log.valid_len = end;
+            }
+            Err(_) if pos + 1 == body.len() => log.torn_tail = true,
+            Err(e) => {
+                return Err(JournalError::Corrupt {
+                    line: lineno,
+                    message: e.to_string(),
+                })
+            }
+        }
+    }
+    Ok(log)
 }
 
-/// A parsed journal: the header, every intact trial record in file
-/// order, and whether a torn trailing line was discarded.
+/// A parsed campaign journal: the header, every intact trial record in
+/// file order, and whether a torn trailing line was discarded.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JournalContents {
     /// The header line.
@@ -381,57 +451,108 @@ pub struct JournalContents {
     pub trials: Vec<TrialStats>,
     /// Whether a torn trailing line (crash artifact) was discarded.
     pub torn_tail: bool,
-    /// Length in bytes of the valid prefix (header + intact records).
-    /// When `torn_tail` is set, everything past this offset is crash
-    /// damage; [`JournalWriter::append_validated`] truncates to it.
-    pub valid_len: u64,
 }
 
-/// Reads and validates a journal file (plain v1 or shard v2).
-///
-/// Tolerates exactly the damage a kill can cause — a final line without
-/// its newline, or a final line that does not parse — and rejects
-/// everything else as typed [`JournalError`]s.
-pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
-    let text = std::fs::read_to_string(path).map_err(|e| io_err(path, e))?;
-    let scan = complete_lines(&text);
+type CampaignLog = RecordLog<(JournalHeader, Option<ShardInfo>), TrialStats>;
 
-    let Some(&(_, header_line, _)) = scan.lines.first() else {
-        return Err(JournalError::MissingHeader);
-    };
-    let header: JournalHeader = serde_json::from_str(header_line)
-        .map_err(|_| JournalError::MissingHeader)?;
-    let shard = match header.schema.as_str() {
-        s if s == JOURNAL_SCHEMA => None,
-        s if s == SHARD_SCHEMA => {
-            let line: ShardHeaderLine =
-                serde_json::from_str(header_line).map_err(|e| JournalError::Corrupt {
-                    line: 1,
-                    message: format!("shard header is incomplete: {e}"),
-                })?;
-            Some(ShardInfo {
-                index: line.shard_index,
-                count: line.shard_count,
-                seed_first: line.seed_first,
-                seed_last: line.seed_last,
-                seed_count: line.seed_count,
-                seeds_fp: line.seeds_fp,
-            })
+fn read_campaign(path: &Path) -> Result<CampaignLog, JournalError> {
+    read_with(path, CAMPAIGN_SCHEMAS, |schema, line| {
+        let header: JournalHeader = parse_header(line)?;
+        if schema == JOURNAL_SCHEMA {
+            return Ok((header, None));
         }
-        _ => return Err(JournalError::SchemaMismatch { found: header.schema }),
-    };
+        let line: ShardHeaderLine = parse_header(line)?;
+        let shard = ShardInfo {
+            index: line.shard_index,
+            count: line.shard_count,
+            seed_first: line.seed_first,
+            seed_last: line.seed_last,
+            seed_count: line.seed_count,
+            seeds_fp: line.seeds_fp,
+        };
+        Ok((header, Some(shard)))
+    })
+}
 
-    let records = scan_records(&scan, |line| {
-        serde_json::from_str::<TrialStats>(line).map_err(|e| e.to_string())
-    })
-    .map_err(|(line, message)| JournalError::Corrupt { line, message })?;
-    Ok(JournalContents {
+impl From<CampaignLog> for JournalContents {
+    fn from(log: CampaignLog) -> Self {
+        let (header, shard) = log.header;
+        JournalContents {
+            header,
+            shard,
+            trials: log.records,
+            torn_tail: log.torn_tail,
+        }
+    }
+}
+
+/// Reads and validates a campaign journal (plain v1 or shard v2), with
+/// the torn-tail tolerance of [`read_log`].
+pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
+    read_campaign(path).map(JournalContents::from)
+}
+
+/// Opens the journal of a campaign-shaped run (a fault campaign, a
+/// worst-case hunt) for appending — the one resume path both share.
+///
+/// With `resume` and an existing file: reads it, checks its fingerprint
+/// and shard coordinates against the run's, and appends after its
+/// intact prefix; the contents carry the records to replay. Otherwise
+/// creates a fresh v1 journal, or a v2 one with `shard`, whose header
+/// takes the fault-free makespan from `baseline` (called only then),
+/// and returns empty contents.
+pub fn open_campaign_journal<E: From<JournalError>>(
+    path: &Path,
+    resume: bool,
+    fingerprint: &str,
+    scheduler: &str,
+    shard: Option<&ShardInfo>,
+    baseline: impl FnOnce() -> Result<Time, E>,
+) -> Result<(JournalWriter, JournalContents), E> {
+    if resume && path.exists() {
+        let log = read_campaign(path)?;
+        let (header, journal_shard) = &log.header;
+        if header.fingerprint != fingerprint {
+            return Err(JournalError::FingerprintMismatch {
+                journal: header.fingerprint.clone(),
+                campaign: fingerprint.to_string(),
+            }
+            .into());
+        }
+        if journal_shard.as_ref() != shard {
+            let describe =
+                |s: Option<&ShardInfo>| s.map_or("unsharded".to_string(), ToString::to_string);
+            return Err(JournalError::ShardMismatch {
+                journal: describe(journal_shard.as_ref()),
+                campaign: describe(shard),
+            }
+            .into());
+        }
+        let writer = JournalWriter::append_validated(path, &log)?;
+        return Ok((writer, log.into()));
+    }
+    let header = JournalHeader {
+        schema: if shard.is_some() {
+            SHARD_SCHEMA
+        } else {
+            JOURNAL_SCHEMA
+        }
+        .to_string(),
+        fingerprint: fingerprint.to_string(),
+        scheduler: scheduler.to_string(),
+        fault_free_makespan: baseline()?,
+    };
+    let writer = match shard {
+        Some(info) => JournalWriter::create_shard(path, &header, info)?,
+        None => JournalWriter::create(path, &header)?,
+    };
+    let contents = JournalContents {
         header,
-        shard,
-        trials: records.records,
-        torn_tail: records.torn_tail,
-        valid_len: records.valid_len,
-    })
+        shard: shard.cloned(),
+        trials: Vec::new(),
+        torn_tail: false,
+    };
+    Ok((writer, contents))
 }
 
 #[cfg(test)]
@@ -477,7 +598,9 @@ pub(crate) mod tests {
             outcome: if seed.is_multiple_of(2) {
                 Ok(Time::from_int(seed as i64 + 20))
             } else {
-                Err(TrialError::Panicked { message: format!("boom {seed}") })
+                Err(TrialError::Panicked {
+                    message: format!("boom {seed}"),
+                })
             },
             failures: seed,
             wasted_area: Time::from_int(seed as i64),
@@ -561,7 +684,8 @@ pub(crate) mod tests {
         let mut w = JournalWriter::create(&tmp.0, &header()).unwrap();
         w.record(&trial(1)).unwrap();
         drop(w);
-        let mut w = JournalWriter::append(&tmp.0).unwrap();
+        let log = read_campaign(&tmp.0).unwrap();
+        let mut w = JournalWriter::append_validated(&tmp.0, &log).unwrap();
         w.record(&trial(2)).unwrap();
         let j = read_journal(&tmp.0).unwrap();
         assert_eq!(j.trials.len(), 2);
@@ -621,7 +745,8 @@ pub(crate) mod tests {
         // The journal is resumable: append_validated truncates the torn
         // fragment, so the re-executed trial's record starts on its own
         // line and the next read sees a fully intact journal.
-        let mut w = JournalWriter::append_validated(&tmp.0, &j).unwrap();
+        let log = read_campaign(&tmp.0).unwrap();
+        let mut w = JournalWriter::append_validated(&tmp.0, &log).unwrap();
         w.record(&trial(4)).unwrap();
         drop(w);
         let j = read_journal(&tmp.0).unwrap();
@@ -666,9 +791,9 @@ pub(crate) mod tests {
         drop(w);
         let mut text = std::fs::read_to_string(&tmp.0).unwrap();
         text.push_str("not json at all\n");
+        text.push_str(&serde_json::to_string(&trial(3)).unwrap());
+        text.push('\n');
         std::fs::write(&tmp.0, text).unwrap();
-        let mut w = JournalWriter::append(&tmp.0).unwrap();
-        w.record(&trial(3)).unwrap();
         assert!(matches!(
             read_journal(&tmp.0),
             Err(JournalError::Corrupt { line: 3, .. })
@@ -683,7 +808,122 @@ pub(crate) mod tests {
         JournalWriter::create(&tmp.0, &h).unwrap();
         assert_eq!(
             read_journal(&tmp.0),
-            Err(JournalError::SchemaMismatch { found: "catbatch-journal/v999".to_string() })
+            Err(JournalError::SchemaMismatch {
+                found: "catbatch-journal/v999".to_string(),
+                expected: CAMPAIGN_SCHEMAS,
+            })
+        );
+    }
+
+    #[test]
+    fn read_log_checks_the_schema_of_any_header_type() {
+        #[derive(Debug, PartialEq, Serialize, Deserialize)]
+        struct Header {
+            schema: String,
+            quick: bool,
+        }
+        const SCHEMAS: &[&str] = &["test-log/v1"];
+        let tmp = TempFile::new("generic");
+        let header = Header {
+            schema: "test-log/v1".to_string(),
+            quick: true,
+        };
+        let mut w = JournalWriter::create(&tmp.0, &header).unwrap();
+        w.record(&7u64).unwrap();
+        w.record(&8u64).unwrap();
+        drop(w);
+        let log: RecordLog<Header, u64> = read_log(&tmp.0, SCHEMAS).unwrap();
+        assert_eq!(
+            (log.header, log.records, log.torn_tail),
+            (header, vec![7, 8], false)
+        );
+        assert_eq!(
+            read_log::<Header, u64>(&tmp.0, CAMPAIGN_SCHEMAS),
+            Err(JournalError::SchemaMismatch {
+                found: "test-log/v1".to_string(),
+                expected: CAMPAIGN_SCHEMAS,
+            })
+        );
+    }
+
+    #[test]
+    fn commit_if_due_follows_the_group_commit_policy() {
+        let tmp = TempFile::new("gc-policy");
+        let mut w = JournalWriter::create(&tmp.0, &header()).unwrap();
+        assert_eq!(w.pending, 0, "the header is synced on create");
+        for seed in 0..GROUP_COMMIT_RECORDS as u64 - 1 {
+            w.record_buffered(&trial(seed)).unwrap();
+            w.commit_if_due().unwrap();
+        }
+        assert_eq!(
+            w.pending,
+            GROUP_COMMIT_RECORDS - 1,
+            "below the batch size, not due yet"
+        );
+        w.record_buffered(&trial(99)).unwrap();
+        w.commit_if_due().unwrap();
+        assert_eq!(w.pending, 0, "a full batch commits");
+
+        w.record_buffered(&trial(100)).unwrap();
+        w.commit_if_due().unwrap();
+        assert_eq!(w.pending, 1);
+        w.oldest = Some(Instant::now() - GROUP_COMMIT_DEADLINE);
+        w.commit_if_due().unwrap();
+        assert_eq!(
+            (w.pending, w.oldest),
+            (0, None),
+            "a stale record commits alone"
+        );
+    }
+
+    #[test]
+    fn resume_checks_fingerprint_and_shard_before_repairing_the_tail() {
+        let tmp = TempFile::new("resume-checks");
+        let mut w = JournalWriter::create(&tmp.0, &header()).unwrap();
+        w.record(&trial(1)).unwrap();
+        drop(w);
+        let mut text = std::fs::read_to_string(&tmp.0).unwrap();
+        text.push_str("{\"seed\":2,");
+        std::fs::write(&tmp.0, &text).unwrap();
+        let no_baseline = || -> Result<Time, JournalError> { panic!("a resume needs no baseline") };
+
+        let foreign = open_campaign_journal(&tmp.0, true, "0000", "catbatch", None, no_baseline);
+        assert!(matches!(
+            foreign,
+            Err(JournalError::FingerprintMismatch { .. })
+        ));
+        let sharded = open_campaign_journal(
+            &tmp.0,
+            true,
+            &header().fingerprint,
+            "catbatch",
+            Some(&shard_info()),
+            no_baseline,
+        );
+        assert!(matches!(sharded, Err(JournalError::ShardMismatch { .. })));
+        assert_eq!(
+            std::fs::read_to_string(&tmp.0).unwrap(),
+            text,
+            "a refused resume writes nothing"
+        );
+
+        let (mut w, contents) = open_campaign_journal(
+            &tmp.0,
+            true,
+            &header().fingerprint,
+            "catbatch",
+            None,
+            no_baseline,
+        )
+        .unwrap();
+        assert_eq!(
+            (contents.trials, contents.torn_tail),
+            (vec![trial(1)], true)
+        );
+        w.record(&trial(2)).unwrap();
+        assert_eq!(
+            read_journal(&tmp.0).unwrap().trials,
+            vec![trial(1), trial(2)]
         );
     }
 

@@ -10,9 +10,10 @@
 //!   quarantine of poison `(seed, scenario)` pairs. Every failure mode
 //!   becomes a typed [`TrialError`](rigid_faults::TrialError) instead
 //!   of process death.
-//! * [`journal`] — an append-only JSONL journal (`catbatch-journal/v1`,
-//!   plus the `/v2` shard header) with one fsynced record per finished
-//!   trial, tolerant of a torn trailing line after a crash.
+//! * [`journal`] — the workspace's one append-only JSONL record log
+//!   (header pin, torn-tail repair, group commit), and the campaign
+//!   journal built on it (`catbatch-journal/v1`, plus the `/v2` shard
+//!   header): one record per finished trial.
 //! * [`run_campaign`] — the resumable campaign loop: replays journaled
 //!   trials byte-for-byte (the seed's record *is* the result), executes
 //!   only what is missing, and stops gracefully at interrupt points.
@@ -44,8 +45,8 @@ pub use campaign::{
 };
 pub use interrupt::InterruptToken;
 pub use journal::{
-    read_journal, JournalContents, JournalError, JournalHeader, JournalWriter, ShardInfo,
-    JOURNAL_SCHEMA, SHARD_SCHEMA,
+    open_campaign_journal, read_journal, JournalContents, JournalError, JournalHeader,
+    JournalWriter, ShardInfo, JOURNAL_SCHEMA, SHARD_SCHEMA,
 };
 pub use merge::{merge_shards, MergeError, MergeReport};
 pub use shard::ShardSpec;
