@@ -9,22 +9,16 @@
 //! every open shelf (2.7-approximation). Shelves are stacked in time.
 //!
 //! These are offline algorithms for the precedence-free relaxation
-//! (Section 2.3 of the paper); the strip-packing crate reuses the same
-//! shelf geometry with explicit rectangle coordinates, and CatBatch-Strip
-//! runs NFDH per category batch (the paper's Remark 1).
+//! (Section 2.3 of the paper). The shelves come from the one shelf
+//! packer, [`rigid_strip::shelf_pack::shelves`], which also places
+//! CatBatch-Strip's per-batch NFDH packings (the paper's Remark 1).
 
 use rigid_dag::{Instance, TaskId};
 use rigid_sim::{OfflineScheduler, Schedule};
+use rigid_strip::shelf_pack::{shelves, Rect};
 use rigid_time::Time;
 
-/// Which shelf-selection rule to use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShelfRule {
-    /// Next-fit: only the most recent shelf stays open.
-    NextFit,
-    /// First-fit: all shelves stay open; use the lowest one that fits.
-    FirstFit,
-}
+pub use rigid_strip::shelf_pack::ShelfRule;
 
 /// A shelf-based scheduler for independent rigid tasks.
 ///
@@ -52,52 +46,24 @@ impl ShelfScheduler {
 
     /// Packs a set of `(id, time, procs)` triples into shelves and returns
     /// `(assignments, total_height)`, where each assignment is
-    /// `(id, shelf_start_time)`. Exposed so CatBatch-Strip can reuse the
-    /// packing for category batches starting at arbitrary instants.
+    /// `(id, shelf_start_time)` relative to the packing's base, in
+    /// packing order.
     pub fn pack(
         &self,
-        mut items: Vec<(TaskId, Time, u32)>,
+        items: Vec<(TaskId, Time, u32)>,
         procs: u32,
     ) -> (Vec<(TaskId, Time)>, Time) {
-        // Decreasing height, stable on input order.
-        items.sort_by_key(|item| std::cmp::Reverse(item.1));
-        struct Shelf {
-            start: Time,
-            height: Time,
-            used: u32,
-        }
-        let mut shelves: Vec<Shelf> = Vec::new();
-        let mut top = Time::ZERO;
-        let mut out = Vec::with_capacity(items.len());
-        for (id, t, p) in items {
-            assert!(p <= procs, "task {id} wider than the platform");
-            let target = match self.rule {
-                ShelfRule::NextFit => shelves
-                    .len()
-                    .checked_sub(1)
-                    .filter(|&i| shelves[i].used + p <= procs),
-                ShelfRule::FirstFit => shelves.iter().position(|s| s.used + p <= procs),
-            };
-            match target {
-                Some(idx) => {
-                    let s = &mut shelves[idx];
-                    out.push((id, s.start));
-                    s.used += p;
-                    debug_assert!(t <= s.height, "decreasing order violated");
-                }
-                None => {
-                    let start = top;
-                    top = start + t;
-                    shelves.push(Shelf {
-                        start,
-                        height: t,
-                        used: p,
-                    });
-                    out.push((id, start));
-                }
-            }
-        }
-        (out, top)
+        let rects: Vec<Rect> = items
+            .into_iter()
+            .map(|(id, height, width)| Rect { id, width, height })
+            .collect();
+        let packed = shelves(&rects, procs, self.rule);
+        let assign = packed
+            .items
+            .iter()
+            .map(|&(r, shelf, _)| (r.id, packed.bottoms[shelf]))
+            .collect();
+        (assign, packed.height)
     }
 }
 

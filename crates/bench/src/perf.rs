@@ -84,8 +84,7 @@ impl OnlineScheduler for PreRefactorFifo {
         self.ready.insert(pos, (task.id, task.spec.procs));
     }
     fn on_complete(&mut self, _task: TaskId, _now: Time) {}
-    fn decide(&mut self, _now: Time, mut free: u32) -> Vec<TaskId> {
-        let mut out = Vec::new();
+    fn decide_into(&mut self, _now: Time, mut free: u32, out: &mut Vec<TaskId>) {
         self.ready.retain(|&(id, p)| {
             if p <= free {
                 free -= p;
@@ -95,7 +94,6 @@ impl OnlineScheduler for PreRefactorFifo {
                 true
             }
         });
-        out
     }
     fn on_failure(&mut self, task: TaskId, _now: Time) -> rigid_sim::FailureResponse {
         let p = *self.keys.get(&task).expect("failed task was released");

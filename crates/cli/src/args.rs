@@ -2,38 +2,15 @@
 
 use rigid_supervise::ShardSpec;
 
-/// A scheduler selectable from the command line.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedChoice {
-    /// The paper's algorithm.
-    CatBatch,
-    /// Guarantee-preserving backfilling.
-    Backfill,
-    /// Work-conserving category priority.
-    CatPrio,
-    /// Contiguous strip variant.
-    Strip,
-    /// ASAP list scheduling, FIFO order.
-    ListFifo,
-    /// ASAP list scheduling, longest first.
-    ListLongest,
-}
+/// A `--scheduler` value: a name from [`rigid_serve::SCHEDULERS`].
+pub type SchedChoice = &'static str;
 
-impl SchedChoice {
-    /// Parses a `--scheduler` value.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "catbatch" => Ok(SchedChoice::CatBatch),
-            "backfill" => Ok(SchedChoice::Backfill),
-            "catprio" => Ok(SchedChoice::CatPrio),
-            "strip" => Ok(SchedChoice::Strip),
-            "list-fifo" => Ok(SchedChoice::ListFifo),
-            "list-longest" => Ok(SchedChoice::ListLongest),
-            other => Err(format!(
-                "unknown scheduler {other:?} (try: catbatch, backfill, catprio, strip, list-fifo, list-longest)"
-            )),
-        }
-    }
+/// Parses a `--scheduler` value.
+fn parse_scheduler(s: &str) -> Result<SchedChoice, String> {
+    rigid_serve::scheduler_name(s).ok_or_else(|| {
+        let names: Vec<&str> = rigid_serve::SCHEDULERS.iter().map(|&(name, _)| name).collect();
+        format!("unknown scheduler {s:?} (try: {})", names.join(", "))
+    })
 }
 
 /// A parsed CLI invocation.
@@ -358,14 +335,14 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
         None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
         Some("schedule") => {
             let mut file = None;
-            let mut scheduler = SchedChoice::CatBatch;
+            let mut scheduler = "catbatch";
             let mut gantt = false;
             let mut trace = false;
             let mut svg = false;
             while let Some(a) = it.next() {
                 match a {
                     "--scheduler" => {
-                        scheduler = SchedChoice::parse(&take_value(a, &mut it)?)?;
+                        scheduler = parse_scheduler(&take_value(a, &mut it)?)?;
                     }
                     "--gantt" => gantt = true,
                     "--trace" => trace = true,
@@ -427,7 +404,7 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
         }
         Some("faults") => {
             let mut file = None;
-            let mut scheduler = SchedChoice::CatBatch;
+            let mut scheduler = "catbatch";
             let mut seed = 42u64;
             let mut trials = 5usize;
             let mut fail = 200u32;
@@ -443,7 +420,7 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
             while let Some(a) = it.next() {
                 match a {
                     "--scheduler" => {
-                        scheduler = SchedChoice::parse(&take_value(a, &mut it)?)?;
+                        scheduler = parse_scheduler(&take_value(a, &mut it)?)?;
                     }
                     "--seed" => {
                         seed = take_value(a, &mut it)?
@@ -669,7 +646,7 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
             let mut jobs = 25usize;
             let mut n = 100usize;
             let mut procs = 16u32;
-            let mut scheduler = SchedChoice::CatBatch;
+            let mut scheduler = "catbatch";
             let mut seed = 42u64;
             let mut window = 32usize;
             let mut shutdown = false;
@@ -710,7 +687,7 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
                             .map_err(|_| "bad --procs value".to_string())?
                     }
                     "--scheduler" => {
-                        scheduler = SchedChoice::parse(&take_value(a, &mut it)?)?;
+                        scheduler = parse_scheduler(&take_value(a, &mut it)?)?;
                     }
                     "--seed" => {
                         seed = take_value(a, &mut it)?
@@ -817,7 +794,7 @@ mod tests {
             c,
             Command::Schedule {
                 file: "w.rigid".into(),
-                scheduler: SchedChoice::Backfill,
+                scheduler: "backfill",
                 gantt: true,
                 trace: false,
                 svg: false,
@@ -1028,7 +1005,7 @@ mod tests {
             } => {
                 assert_eq!(bind, "catbatch.sock");
                 assert_eq!((clients, jobs, n, procs), (4, 25, 100, 16));
-                assert_eq!(scheduler, SchedChoice::CatBatch);
+                assert_eq!(scheduler, "catbatch");
                 assert_eq!(seed, 42);
                 assert_eq!(window, 32);
                 assert!(!shutdown);
@@ -1047,7 +1024,7 @@ mod tests {
                 clients, jobs, scheduler, window, shutdown, read_timeout_ms, max_attempts, ..
             } => {
                 assert_eq!((clients, jobs, window), (2, 50, 8));
-                assert_eq!(scheduler, SchedChoice::Backfill);
+                assert_eq!(scheduler, "backfill");
                 assert!(shutdown);
                 assert_eq!(read_timeout_ms, 500);
                 assert_eq!(max_attempts, 3);

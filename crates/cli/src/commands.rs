@@ -4,14 +4,12 @@
 
 use crate::args::{Command, SchedChoice, USAGE};
 use catbatch::analysis::{attribute_table, decompose, render_attribute_table};
-use catbatch::{category_length, CatBatch, CatBatchBackfill, CatPrio};
-use rigid_baselines::{ListScheduler, Priority};
+use catbatch::{category_length, CatBatch};
 use rigid_dag::gen::TaskSampler;
 use rigid_dag::{analysis, format, gen, Instance, StaticSource};
 use rigid_sim::gantt::{render, GanttOptions};
 use rigid_sim::trace::Trace;
 use rigid_sim::{engine, metrics, OnlineScheduler};
-use rigid_strip::CatBatchStrip;
 
 /// Runs a parsed command against already-loaded file contents.
 /// `read_file` resolves a path to its text (injected for testability).
@@ -29,7 +27,7 @@ pub fn run_command(
             svg,
         } => {
             let inst = load(file, read_file)?;
-            schedule_cmd(&inst, *scheduler, *gantt, *trace, *svg)
+            schedule_cmd(&inst, scheduler, *gantt, *trace, *svg)
         }
         Command::Analyze { file } => {
             let inst = load(file, read_file)?;
@@ -64,7 +62,7 @@ pub fn run_command(
             let inst = load(file, read_file)?;
             faults_cmd(
                 &inst,
-                *scheduler,
+                scheduler,
                 *seed,
                 *trials,
                 *fail,
@@ -141,7 +139,7 @@ pub fn run_command(
             *jobs,
             *n,
             *procs,
-            *scheduler,
+            scheduler,
             *seed,
             *window,
             *shutdown,
@@ -195,14 +193,7 @@ fn load(path: &str, read_file: &dyn Fn(&str) -> Result<String, String>) -> Resul
 }
 
 fn build_scheduler(choice: SchedChoice, procs: u32) -> Box<dyn OnlineScheduler> {
-    match choice {
-        SchedChoice::CatBatch => Box::new(CatBatch::new()),
-        SchedChoice::Backfill => Box::new(CatBatchBackfill::new()),
-        SchedChoice::CatPrio => Box::new(CatPrio::new()),
-        SchedChoice::Strip => Box::new(CatBatchStrip::new(procs)),
-        SchedChoice::ListFifo => Box::new(ListScheduler::new(Priority::Fifo)),
-        SchedChoice::ListLongest => Box::new(ListScheduler::new(Priority::LongestFirst)),
-    }
+    rigid_serve::scheduler_by_name(choice, procs).expect("scheduler names are checked at parse")
 }
 
 fn schedule_cmd(
@@ -263,7 +254,7 @@ fn schedule_cmd(
 /// failure (which the report then shows).
 fn build_fault_scheduler(choice: SchedChoice, procs: u32, retries: u32) -> Box<dyn OnlineScheduler> {
     match choice {
-        SchedChoice::CatBatch => Box::new(CatBatch::new().with_retry_budget(retries)),
+        "catbatch" => Box::new(CatBatch::new().with_retry_budget(retries)),
         other => build_scheduler(other, procs),
     }
 }
@@ -608,18 +599,6 @@ fn bench_cmd(
     Ok(text)
 }
 
-/// The wire name the daemon knows a [`SchedChoice`] by.
-fn sched_wire_name(choice: SchedChoice) -> &'static str {
-    match choice {
-        SchedChoice::CatBatch => "catbatch",
-        SchedChoice::Backfill => "backfill",
-        SchedChoice::CatPrio => "catprio",
-        SchedChoice::Strip => "strip",
-        SchedChoice::ListFifo => "list-fifo",
-        SchedChoice::ListLongest => "list-longest",
-    }
-}
-
 fn resolve_bind(bind: &str, tcp: Option<&str>) -> rigid_serve::Bind {
     match tcp {
         Some(addr) => rigid_serve::Bind::Tcp(addr.to_string()),
@@ -692,7 +671,7 @@ fn loadgen_cmd(
         jobs,
         n,
         procs,
-        scheduler: sched_wire_name(scheduler).to_string(),
+        scheduler: scheduler.to_string(),
         seed,
         window,
         shutdown,
@@ -713,7 +692,7 @@ fn loadgen_cmd(
         jobs,
         n,
         procs,
-        sched_wire_name(scheduler),
+        scheduler,
         report.ok,
         report.errors,
         report.retries,

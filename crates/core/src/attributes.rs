@@ -34,6 +34,14 @@ impl CriticalityTracker {
     /// violation: tasks are released only after all predecessors complete,
     /// and predecessors are released before they run).
     pub fn on_release(&mut self, task: &ReleasedTask) -> Criticality {
+        self.on_release_with_length(task, task.spec.time)
+    }
+
+    /// Like [`on_release`](Self::on_release), with `length` in place of
+    /// the task's execution time: a scheduler that only believes a length
+    /// tracks believed criticalities, `f∞ = s∞ + length`, through its
+    /// successors.
+    pub fn on_release_with_length(&mut self, task: &ReleasedTask, length: Time) -> Criticality {
         let s_inf = task
             .preds
             .iter()
@@ -47,7 +55,7 @@ impl CriticalityTracker {
             .unwrap_or(Time::ZERO);
         let crit = Criticality {
             start: s_inf,
-            finish: s_inf + task.spec.time,
+            finish: s_inf + length,
         };
         let dup = self.finish.insert(task.id, crit.finish);
         assert!(dup.is_none(), "task {} released twice", task.id);

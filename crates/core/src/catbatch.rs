@@ -10,65 +10,27 @@
 //! batch. This deliberate idling is what defeats the `Ω(P)` trap of ASAP
 //! heuristics (paper Figure 1) and yields the `log₂(n) + 3` competitive
 //! ratio (Theorem 1).
+//!
+//! The batches themselves live in [`BatchCore`]; `CatBatch` adds only
+//! the retry budget for failed attempts.
 
-use crate::attributes::CriticalityTracker;
-use crate::category::{compute_category, Category};
+use crate::batch::BatchCore;
+use crate::category::Category;
 use rigid_dag::{ReleasedTask, TaskId};
 use rigid_sim::{FailureResponse, OnlineScheduler};
 use rigid_time::Time;
 use std::collections::BTreeMap;
 
-/// A completed batch, for reporting and bound-checking (Figure 6 shows
-/// these intervals; Lemma 6 bounds each batch's span).
-#[derive(Clone, Debug)]
-pub struct BatchRecord {
-    /// The batch's category.
-    pub category: Category,
-    /// Tasks processed in this batch.
-    pub tasks: Vec<TaskId>,
-    /// Instant the batch became current (= previous batch's finish).
-    pub started_at: Time,
-    /// Instant the last task of the batch completed.
-    pub finished_at: Time,
-    /// Total area `Σ t·p` of the batch's tasks.
-    pub area: Time,
-}
-
-impl BatchRecord {
-    /// The batch's execution span `T(B_ζ)`.
-    pub fn span(&self) -> Time {
-        self.finished_at - self.started_at
-    }
-}
-
-struct CurrentBatch {
-    category: Category,
-    /// Batch tasks not yet started, in release order, with processor needs.
-    pool: Vec<(TaskId, u32)>,
-    /// Number of batch tasks currently running.
-    running: usize,
-    /// All tasks of the batch (for the record).
-    all: Vec<TaskId>,
-    started_at: Time,
-    area: Time,
-}
+pub use crate::batch::BatchRecord;
 
 /// The CatBatch online scheduler.
 ///
 /// Construct per run with [`CatBatch::new`]; inspect
 /// [`batch_history`](CatBatch::batch_history) afterwards for the batch
 /// decomposition the run produced.
+#[derive(Default)]
 pub struct CatBatch {
-    tracker: CriticalityTracker,
-    /// Pending batches by category (tasks not yet in the current batch).
-    batches: BTreeMap<Category, Vec<(TaskId, u32)>>,
-    /// Areas of pending batches, accumulated at release.
-    areas: BTreeMap<Category, Time>,
-    current: Option<CurrentBatch>,
-    history: Vec<BatchRecord>,
-    /// Processor widths of all revealed tasks (needed to re-pool a
-    /// failed task).
-    widths: BTreeMap<TaskId, u32>,
+    core: BatchCore,
     /// Failed attempts per task so far.
     failures: BTreeMap<TaskId, u32>,
     /// How many failures per task CatBatch tolerates before abandoning.
@@ -79,16 +41,7 @@ impl CatBatch {
     /// Creates a fresh CatBatch scheduler that abandons on the first
     /// task failure (faithful to the paper's fault-free model).
     pub fn new() -> Self {
-        CatBatch {
-            tracker: CriticalityTracker::new(),
-            batches: BTreeMap::new(),
-            areas: BTreeMap::new(),
-            current: None,
-            history: Vec::new(),
-            widths: BTreeMap::new(),
-            failures: BTreeMap::new(),
-            retry_budget: 0,
-        }
+        CatBatch::default()
     }
 
     /// Tolerate up to `budget` failed attempts per task: a failed task
@@ -108,35 +61,13 @@ impl CatBatch {
 
     /// The completed batches in processing order.
     pub fn batch_history(&self) -> &[BatchRecord] {
-        &self.history
+        self.core.history()
     }
 
     /// The category a given released task was assigned (via its tracked
     /// criticality); `None` if unknown.
     pub fn category_of_task(&self, task: TaskId) -> Option<Category> {
-        // Reconstruct from history / current; primarily a test helper.
-        for rec in &self.history {
-            if rec.tasks.contains(&task) {
-                return Some(rec.category);
-            }
-        }
-        if let Some(cur) = &self.current {
-            if cur.all.contains(&task) {
-                return Some(cur.category);
-            }
-        }
-        for (cat, pool) in &self.batches {
-            if pool.iter().any(|(id, _)| *id == task) {
-                return Some(*cat);
-            }
-        }
-        None
-    }
-}
-
-impl Default for CatBatch {
-    fn default() -> Self {
-        CatBatch::new()
+        self.core.category_of(task)
     }
 }
 
@@ -146,93 +77,16 @@ impl OnlineScheduler for CatBatch {
     }
 
     fn on_release(&mut self, task: &ReleasedTask, _now: Time) {
-        let crit = self.tracker.on_release(task);
-        let cat = compute_category(crit.start, crit.finish);
-        if let Some(cur) = &self.current {
-            // Lemma 5 / Corollary 2: tasks discovered while batch ζ runs
-            // have category strictly greater than ζ.
-            assert!(
-                cat > cur.category,
-                "release of {} with category {cat} ≤ current batch {}",
-                task.id,
-                cur.category
-            );
-        }
-        self.batches
-            .entry(cat)
-            .or_default()
-            .push((task.id, task.spec.procs));
-        *self.areas.entry(cat).or_insert(Time::ZERO) += task.spec.area();
-        self.widths.insert(task.id, task.spec.procs);
+        self.core.release(task, task.spec.time);
     }
 
     fn on_complete(&mut self, task: TaskId, now: Time) {
-        let cur = self
-            .current
-            .as_mut()
-            .expect("completion outside any batch");
-        debug_assert!(cur.all.contains(&task), "completed {task} not in batch");
-        assert!(cur.running > 0, "completion underflow");
-        cur.running -= 1;
-        if cur.running == 0 && cur.pool.is_empty() {
-            // Batch finished (Algorithm 2, line 17: wait until all tasks
-            // in B complete).
-            let cur = self.current.take().expect("checked above");
-            self.history.push(BatchRecord {
-                category: cur.category,
-                tasks: cur.all,
-                started_at: cur.started_at,
-                finished_at: now,
-                area: cur.area,
-            });
-        }
+        self.core.complete(task, now);
     }
 
-    fn decide(&mut self, now: Time, mut free: u32) -> Vec<TaskId> {
-        // With an active batch, a saturated machine or a drained pool can
-        // never yield a start (every task needs ≥ 1 processor) — skip the
-        // pool scan. Batch *selection* must not be skipped: it has to
-        // happen at the instant the previous batch closed so the record's
-        // `started_at` is right.
-        if let Some(cur) = &self.current {
-            if free == 0 || cur.pool.is_empty() {
-                return Vec::new();
-            }
-        }
-        // Select a batch if none is active (Algorithm 3, line 10: find
-        // B_ζmin containing the tasks of smallest category).
-        if self.current.is_none() {
-            match self.batches.pop_first() {
-                Some((category, pool)) => {
-                    let area = self.areas.remove(&category).unwrap_or(Time::ZERO);
-                    self.current = Some(CurrentBatch {
-                        category,
-                        all: pool.iter().map(|(id, _)| *id).collect(),
-                        pool,
-                        running: 0,
-                        started_at: now,
-                        area,
-                    });
-                }
-                None => return Vec::new(),
-            }
-        }
-
-        // Greedy ScheduleIndep step (Algorithm 2, lines 9–15): start every
-        // remaining batch task that fits, scanning in release order.
-        let cur = self.current.as_mut().expect("just ensured");
-        let mut started = Vec::new();
-        cur.pool.retain(|&(id, p)| {
-            if p <= free {
-                free -= p;
-                started.push(id);
-                false
-            } else {
-                true
-            }
-        });
-        cur.running += started.len();
-        started
+    fn decide_into(&mut self, now: Time, mut free: u32, out: &mut Vec<TaskId>) {
+        self.core.open_next(now);
+        self.core.schedule_indep(&mut free, out, |_| true);
     }
 
     fn on_failure(&mut self, task: TaskId, _now: Time) -> FailureResponse {
@@ -241,19 +95,7 @@ impl OnlineScheduler for CatBatch {
         if *count > self.retry_budget {
             return FailureResponse::Abandon;
         }
-        // Re-pool inside the current batch: the failed task belongs to
-        // the batch that started it, which cannot have closed while the
-        // attempt ran. It will be restarted by a later `decide`, and the
-        // batch barrier holds until it finally completes.
-        let cur = self
-            .current
-            .as_mut()
-            .expect("failure outside any batch");
-        debug_assert!(cur.all.contains(&task), "failed {task} not in batch");
-        assert!(cur.running > 0, "failure underflow");
-        cur.running -= 1;
-        let width = *self.widths.get(&task).expect("failed task was released");
-        cur.pool.push((task, width));
+        self.core.retry(task);
         FailureResponse::Retry
     }
 }

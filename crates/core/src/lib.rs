@@ -11,9 +11,11 @@
 //!   (Definitions 2–3, Lemma 2), computed exactly on rationals;
 //! * [`lmatrix`] — category lengths `L_ζ` and the L-matrix (Definitions
 //!   4–5, Lemmas 3–4), plus the Theorem 1/2 bound functions;
-//! * [`catbatch`] — the scheduler itself (Algorithms 1–3): batch by
-//!   category, process batches in increasing `ζ`, greedy inside a batch,
-//!   full barrier between batches;
+//! * [`batch`] — the category-batch discipline (Algorithms 1–3): batch
+//!   by category, process batches in increasing `ζ`, full barrier
+//!   between batches; every CatBatch variant is a policy on top of it;
+//! * [`catbatch`] — the scheduler itself: greedy `ScheduleIndep` inside
+//!   each batch;
 //! * [`analysis`] — offline category decomposition, attribute tables and
 //!   the Lemma 7 makespan bound.
 //!
@@ -56,6 +58,7 @@
 
 pub mod analysis;
 pub mod attributes;
+pub mod batch;
 pub mod catbatch;
 pub mod category;
 pub mod heuristics;
@@ -63,7 +66,8 @@ pub mod lmatrix;
 pub mod monitor;
 
 pub use attributes::CriticalityTracker;
-pub use catbatch::{BatchRecord, CatBatch};
+pub use batch::{BatchCore, BatchRecord, BatchTask};
+pub use catbatch::CatBatch;
 pub use category::{compute_category, Category};
 pub use heuristics::{CatBatchBackfill, CatPrio, EstimatedCatBatch};
 pub use lmatrix::{category_length, LMatrix};

@@ -66,16 +66,14 @@ use crate::net::{Bind, Conn, Listener};
 use crate::protocol::{
     kind, read_frame, write_frame, FrameError, JobError, JobResult, JobSpec, Request, Response,
 };
-use catbatch::{CatBatch, CatBatchBackfill, CatPrio};
-use rigid_baselines::{ListScheduler, Priority};
+use crate::schedulers::scheduler_by_name;
 use rigid_dag::{format, instance_fingerprint, Instance, StableHasher, StaticSource};
 use rigid_exec::ScratchPool;
 use rigid_faults::TrialError;
 use rigid_sim::engine::{EngineConfig, EngineScratch, RunBudget, RunResult};
 use rigid_sim::gantt::{render, GanttOptions};
 use rigid_sim::trace::Trace;
-use rigid_sim::{metrics, BudgetKind, OnlineScheduler, RunError};
-use rigid_strip::CatBatchStrip;
+use rigid_sim::{metrics, BudgetKind, RunError};
 use rigid_supervise::interrupt::InterruptToken;
 use rigid_supervise::{Supervisor, SupervisorPolicy};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -796,18 +794,6 @@ fn take_item(index: usize, shared: &Shared) -> Option<WorkItem> {
         }
     }
     None
-}
-
-fn scheduler_by_name(name: &str, procs: u32) -> Option<Box<dyn OnlineScheduler>> {
-    Some(match name {
-        "catbatch" => Box::new(CatBatch::new()),
-        "backfill" => Box::new(CatBatchBackfill::new()),
-        "catprio" => Box::new(CatPrio::new()),
-        "strip" => Box::new(CatBatchStrip::new(procs)),
-        "list-fifo" => Box::new(ListScheduler::new(Priority::Fifo)),
-        "list-longest" => Box::new(ListScheduler::new(Priority::LongestFirst)),
-        _ => return None,
-    })
 }
 
 fn scheduler_hash(name: &str) -> u64 {

@@ -43,6 +43,7 @@ pub mod journal;
 pub mod loadgen;
 pub mod net;
 pub mod protocol;
+pub mod schedulers;
 
 pub use chaos::{ChaosPlan, ChaosProxy, ChaosProxyHandle, ProxyReport};
 pub use client::{Client, ClientConfig, ClientError, ResilientClient, RetryPolicy};
@@ -51,3 +52,4 @@ pub use journal::{aggregate, Aggregates, JobRecord, ServeJournal, SERVE_SCHEMA};
 pub use loadgen::{LoadgenOptions, LoadgenReport};
 pub use net::{Bind, Conn, Listener};
 pub use protocol::{JobError, JobResult, JobSpec, Request, Response, MAX_FRAME};
+pub use schedulers::{scheduler_by_name, scheduler_name, SCHEDULERS};

@@ -858,8 +858,7 @@ mod tests {
             self.queue.push((task.id, task.spec.procs));
         }
         fn on_complete(&mut self, _task: TaskId, _now: Time) {}
-        fn decide(&mut self, _now: Time, mut free: u32) -> Vec<TaskId> {
-            let mut out = Vec::new();
+        fn decide_into(&mut self, _now: Time, mut free: u32, out: &mut Vec<TaskId>) {
             self.queue.retain(|&(id, p)| {
                 if p <= free {
                     free -= p;
@@ -869,7 +868,6 @@ mod tests {
                     true
                 }
             });
-            out
         }
     }
 
@@ -966,9 +964,7 @@ mod tests {
         }
         fn on_release(&mut self, _t: &ReleasedTask, _now: Time) {}
         fn on_complete(&mut self, _t: TaskId, _now: Time) {}
-        fn decide(&mut self, _now: Time, _free: u32) -> Vec<TaskId> {
-            Vec::new()
-        }
+        fn decide_into(&mut self, _now: Time, _free: u32, _out: &mut Vec<TaskId>) {}
     }
 
     #[test]
@@ -1009,8 +1005,8 @@ mod tests {
             self.pending.push(t.id);
         }
         fn on_complete(&mut self, _t: TaskId, _now: Time) {}
-        fn decide(&mut self, _now: Time, _free: u32) -> Vec<TaskId> {
-            std::mem::take(&mut self.pending)
+        fn decide_into(&mut self, _now: Time, _free: u32, out: &mut Vec<TaskId>) {
+            out.append(&mut self.pending);
         }
     }
 
@@ -1064,9 +1060,11 @@ mod tests {
                 self.ids.push(t.id);
             }
             fn on_complete(&mut self, _t: TaskId, _now: Time) {}
-            fn decide(&mut self, _now: Time, _free: u32) -> Vec<TaskId> {
+            fn decide_into(&mut self, _now: Time, _free: u32, out: &mut Vec<TaskId>) {
                 // Return the first released id twice in ONE round.
-                self.ids.first().map(|&id| vec![id, id]).unwrap_or_default()
+                if let Some(&id) = self.ids.first() {
+                    out.extend([id, id]);
+                }
             }
         }
         let inst = DagBuilder::new().task("a", Time::ONE, 1).build(2);
@@ -1093,12 +1091,10 @@ mod tests {
                 self.id = Some(t.id);
             }
             fn on_complete(&mut self, _t: TaskId, _now: Time) {}
-            fn decide(&mut self, _now: Time, _free: u32) -> Vec<TaskId> {
+            fn decide_into(&mut self, _now: Time, _free: u32, out: &mut Vec<TaskId>) {
                 self.rounds += 1;
                 if self.rounds <= 2 {
-                    vec![self.id.unwrap()]
-                } else {
-                    Vec::new()
+                    out.push(self.id.unwrap());
                 }
             }
         }
@@ -1384,8 +1380,8 @@ mod tests {
             self.inner.queue.push((t, self.widths[&t]));
             FailureResponse::Retry
         }
-        fn decide(&mut self, now: Time, free: u32) -> Vec<TaskId> {
-            self.inner.decide(now, free)
+        fn decide_into(&mut self, now: Time, free: u32, out: &mut Vec<TaskId>) {
+            self.inner.decide_into(now, free, out)
         }
     }
 

@@ -3,9 +3,10 @@
 //! A discrete-event simulation engine for rigid task graphs: the
 //! "platform" of the SPAA'25 CatBatch paper's model. The engine owns the
 //! clock and the `P`-processor pool, reveals tasks through an
-//! [`InstanceSource`](rigid_dag::InstanceSource) exactly when they become
-//! ready, consults an [`OnlineScheduler`] at every decision point, and
-//! records a validated [`Schedule`].
+//! ready, consults an [`OnlineScheduler`] at every decision point
+//! through its one decision callback,
+//! [`decide_into`](OnlineScheduler::decide_into), and records a validated
+//! [`Schedule`].
 //!
 //! The engine deliberately supports *idling*: a scheduler may decline to
 //! start ready tasks (the paper's central insight is that near-optimal
@@ -24,12 +25,10 @@
 //!         self.0.push((t.id, t.spec.procs));
 //!     }
 //!     fn on_complete(&mut self, _: TaskId, _: Time) {}
-//!     fn decide(&mut self, _: Time, mut free: u32) -> Vec<TaskId> {
-//!         let mut out = Vec::new();
+//!     fn decide_into(&mut self, _: Time, mut free: u32, out: &mut Vec<TaskId>) {
 //!         self.0.retain(|&(id, p)| {
 //!             if p <= free { free -= p; out.push(id); false } else { true }
 //!         });
-//!         out
 //!     }
 //! }
 //!

@@ -151,14 +151,15 @@ pub fn try_run_faulty(
         let capacity = faults.capacity(now, procs).min(procs);
         log.min_capacity = log.min_capacity.min(capacity);
         let mut avail = capacity.saturating_sub(used);
+        let mut to_start = Vec::new();
         loop {
             decisions += 1;
-            let to_start = scheduler.decide(now, avail);
+            scheduler.decide_into(now, avail, &mut to_start);
             if to_start.is_empty() {
                 break;
             }
             let mut seen = HashSet::new();
-            for id in to_start {
+            for id in to_start.drain(..) {
                 if !seen.insert(id) {
                     return Err(SchedulerViolation::DuplicateDecision { task: id }.into());
                 }

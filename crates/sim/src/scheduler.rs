@@ -2,11 +2,16 @@
 //!
 //! The engine drives a scheduler through three callbacks. At every decision
 //! point (time zero, and after each batch of simultaneous completions and
-//! releases) it calls [`OnlineScheduler::decide`], which returns the tasks
-//! to start *right now*. Returning an empty list is a legal and meaningful
-//! move: it is the deliberate idling that the paper shows to be necessary
-//! (no ASAP heuristic can be better than `Ω(P)`-competitive, Figure 1),
-//! and it is how CatBatch holds back tasks of future categories.
+//! releases) it calls [`OnlineScheduler::decide_into`], which appends the
+//! tasks to start *right now* to a buffer the engine reuses for the whole
+//! run. Appending nothing is a legal and meaningful move: it is the
+//! deliberate idling that the paper shows to be necessary (no ASAP
+//! heuristic can be better than `Ω(P)`-competitive, Figure 1), and it is
+//! how CatBatch holds back tasks of future categories.
+//!
+//! `decide_into` is the one decision callback a scheduler implements.
+//! [`OnlineScheduler::decide`] is a provided adapter that returns a fresh
+//! `Vec`; wrappers that override it must keep it equal to `decide_into`.
 
 use rigid_dag::{ReleasedTask, TaskId};
 use rigid_time::Time;
@@ -20,8 +25,9 @@ use rigid_time::Time;
 /// * `on_release(task)` precedes any other mention of `task`;
 /// * `on_complete(task)` fires exactly once, after the task ran to
 ///   completion;
-/// * `decide` may only start released, unstarted tasks whose combined
-///   demand fits in the currently free processors (violations panic).
+/// * `decide_into` may only start released, unstarted tasks whose
+///   combined demand fits in the currently free processors (violations
+///   are [`SchedulerViolation`](crate::SchedulerViolation) errors).
 pub trait OnlineScheduler {
     /// Human-readable name for reports.
     fn name(&self) -> &'static str;
@@ -34,26 +40,22 @@ pub trait OnlineScheduler {
     fn on_complete(&mut self, task: TaskId, now: Time);
 
     /// Asked at every decision point: which tasks should start now?
-    /// `free_procs` processors are currently idle. The returned tasks are
-    /// started simultaneously at `now`; their total demand must not exceed
-    /// `free_procs`.
-    fn decide(&mut self, now: Time, free_procs: u32) -> Vec<TaskId>;
+    /// `free_procs` processors are currently idle. Appends the chosen
+    /// tasks to `out` (never clears it); they are started simultaneously
+    /// at `now`, and their total demand must not exceed `free_procs`.
+    fn decide_into(&mut self, now: Time, free_procs: u32, out: &mut Vec<TaskId>);
 
-    /// Buffer-reusing form of [`decide`](Self::decide): **appends** the
-    /// chosen tasks to `out` instead of returning a fresh `Vec`. The
-    /// engine calls this form with one buffer reused across the whole
-    /// run, so a scheduler that overrides it allocates nothing per
-    /// decision point. The default delegates to `decide`; overriders
-    /// must preserve its contract exactly (the engine treats appending
-    /// nothing as the deliberate-idling move).
-    fn decide_into(&mut self, now: Time, free_procs: u32, out: &mut Vec<TaskId>) {
-        out.extend(self.decide(now, free_procs));
+    /// [`decide_into`](Self::decide_into) into a fresh `Vec`.
+    fn decide(&mut self, now: Time, free_procs: u32) -> Vec<TaskId> {
+        let mut out = Vec::new();
+        self.decide_into(now, free_procs, &mut out);
+        out
     }
 
     /// A running attempt of `task` just failed (fail-stop under an active
     /// fault model); all its work is lost and it must be re-executed in
     /// full. Return [`FailureResponse::Retry`] to take the task back as
-    /// ready (it may be started again from a later `decide`), or
+    /// ready (it may be started again from a later `decide_into`), or
     /// [`FailureResponse::Abandon`] to give up, which aborts the run with
     /// [`RunError::TaskAbandoned`](crate::RunError::TaskAbandoned).
     ///
@@ -83,9 +85,6 @@ impl<T: OnlineScheduler + ?Sized> OnlineScheduler for Box<T> {
     }
     fn on_complete(&mut self, task: TaskId, now: Time) {
         (**self).on_complete(task, now)
-    }
-    fn decide(&mut self, now: Time, free_procs: u32) -> Vec<TaskId> {
-        (**self).decide(now, free_procs)
     }
     fn decide_into(&mut self, now: Time, free_procs: u32, out: &mut Vec<TaskId>) {
         (**self).decide_into(now, free_procs, out)

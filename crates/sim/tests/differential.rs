@@ -41,8 +41,7 @@ impl OnlineScheduler for Fifo {
         self.widths.push((t.id, t.spec.procs));
     }
     fn on_complete(&mut self, _t: TaskId, _now: Time) {}
-    fn decide(&mut self, _now: Time, mut free: u32) -> Vec<TaskId> {
-        let mut out = Vec::new();
+    fn decide_into(&mut self, _now: Time, mut free: u32, out: &mut Vec<TaskId>) {
         self.queue.retain(|&(id, p)| {
             if p <= free {
                 free -= p;
@@ -52,7 +51,6 @@ impl OnlineScheduler for Fifo {
                 true
             }
         });
-        out
     }
     fn on_failure(&mut self, t: TaskId, _now: Time) -> FailureResponse {
         let w = self
@@ -96,8 +94,7 @@ impl OnlineScheduler for LongestFirst {
         self.insert(task.spec.time, task.id, task.spec.procs);
     }
     fn on_complete(&mut self, _t: TaskId, _now: Time) {}
-    fn decide(&mut self, _now: Time, mut free: u32) -> Vec<TaskId> {
-        let mut out = Vec::new();
+    fn decide_into(&mut self, _now: Time, mut free: u32, out: &mut Vec<TaskId>) {
         self.ready.retain(|&(_, id, p)| {
             if p <= free {
                 free -= p;
@@ -107,7 +104,6 @@ impl OnlineScheduler for LongestFirst {
                 true
             }
         });
-        out
     }
     fn on_failure(&mut self, _t: TaskId, _now: Time) -> FailureResponse {
         // Longest-first abandons on failure; the differential check then

@@ -1,7 +1,8 @@
 //! CatBatch-Strip: the online strip-packing variant of CatBatch
 //! (the paper's Remark 1).
 //!
-//! Identical category batching, but inside each batch the greedy
+//! Identical category batching (the batches live in
+//! [`catbatch::BatchCore`]), but inside each batch the greedy
 //! `ScheduleIndep` is replaced by NFDH so every task receives a
 //! **contiguous** processor interval `[x, x+w)`. Shelves of a batch run
 //! one after another (shelf `k+1` starts when shelf `k`'s tallest — and
@@ -11,24 +12,12 @@
 //! online strip packing with precedence constraints too.
 
 use crate::packing::{PlacedRect, StripPacking};
-use crate::shelf_pack::Rect;
-use catbatch::category::{compute_category, Category};
-use catbatch::CriticalityTracker;
+use crate::shelf_pack::{shelves, Rect, ShelfRule};
+use catbatch::BatchCore;
 use rigid_dag::{ReleasedTask, TaskId};
 use rigid_sim::OnlineScheduler;
 use rigid_time::Time;
-use std::collections::BTreeMap;
-
-/// One shelf awaiting execution: tasks with committed x-positions.
-struct Shelf {
-    tasks: Vec<(TaskId, u32, u32)>, // (id, x, width)
-}
-
-struct CurrentBatch {
-    shelves: Vec<Shelf>,
-    next_shelf: usize,
-    running: usize,
-}
+use std::collections::VecDeque;
 
 /// The online CatBatch-Strip scheduler.
 ///
@@ -36,11 +25,11 @@ struct CurrentBatch {
 /// contiguous packing (y-coordinates are the actual start instants).
 pub struct CatBatchStrip {
     procs: u32,
-    tracker: CriticalityTracker,
-    batches: BTreeMap<Category, Vec<Rect>>,
-    current: Option<CurrentBatch>,
+    core: BatchCore,
+    /// The current batch's NFDH shelves not yet started: each task with
+    /// its left edge `x`.
+    shelves: VecDeque<Vec<(Rect, u32)>>,
     packing: StripPacking,
-    specs: BTreeMap<TaskId, Time>,
 }
 
 impl CatBatchStrip {
@@ -48,11 +37,9 @@ impl CatBatchStrip {
     pub fn new(procs: u32) -> Self {
         CatBatchStrip {
             procs,
-            tracker: CriticalityTracker::new(),
-            batches: BTreeMap::new(),
-            current: None,
+            core: BatchCore::new(),
+            shelves: VecDeque::new(),
             packing: StripPacking::new(procs),
-            specs: BTreeMap::new(),
         }
     }
 
@@ -61,23 +48,24 @@ impl CatBatchStrip {
         &self.packing
     }
 
-    /// Packs a batch with NFDH, producing shelves with x-positions.
-    fn pack_batch(&self, mut rects: Vec<Rect>) -> Vec<Shelf> {
-        rects.sort_by_key(|r| std::cmp::Reverse(r.height));
-        let mut shelves: Vec<Shelf> = Vec::new();
-        let mut cursor: u32 = 0;
-        for r in rects {
-            assert!(r.width <= self.procs);
-            let fits_current = !shelves.is_empty() && cursor + r.width <= self.procs;
-            if !fits_current {
-                shelves.push(Shelf { tasks: Vec::new() });
-                cursor = 0;
+    /// Packs the batch that just opened into NFDH shelves.
+    fn pack_batch(&mut self) {
+        let rects: Vec<Rect> = self
+            .core
+            .take_pool()
+            .into_iter()
+            .map(|t| Rect {
+                id: t.id,
+                width: t.procs,
+                height: t.time,
+            })
+            .collect();
+        for (r, shelf, x) in shelves(&rects, self.procs, ShelfRule::NextFit).items {
+            if shelf == self.shelves.len() {
+                self.shelves.push_back(Vec::new());
             }
-            let shelf = shelves.last_mut().expect("just ensured");
-            shelf.tasks.push((r.id, cursor, r.width));
-            cursor += r.width;
+            self.shelves.back_mut().expect("just ensured").push((r, x));
         }
-        shelves
     }
 }
 
@@ -87,63 +75,37 @@ impl OnlineScheduler for CatBatchStrip {
     }
 
     fn on_release(&mut self, task: &ReleasedTask, _now: Time) {
-        let crit = self.tracker.on_release(task);
-        let cat = compute_category(crit.start, crit.finish);
-        self.specs.insert(task.id, task.spec.time);
-        self.batches.entry(cat).or_default().push(Rect {
-            id: task.id,
-            width: task.spec.procs,
-            height: task.spec.time,
-        });
+        self.core.release(task, task.spec.time);
     }
 
-    fn on_complete(&mut self, _task: TaskId, _now: Time) {
-        let cur = self.current.as_mut().expect("completion outside batch");
-        assert!(cur.running > 0);
-        cur.running -= 1;
-        if cur.running == 0 && cur.next_shelf >= cur.shelves.len() {
-            self.current = None;
-        }
+    fn on_complete(&mut self, task: TaskId, now: Time) {
+        self.core.complete(task, now);
     }
 
-    fn decide(&mut self, now: Time, free: u32) -> Vec<TaskId> {
-        if self.current.is_none() {
-            match self.batches.pop_first() {
-                Some((_cat, rects)) => {
-                    self.current = Some(CurrentBatch {
-                        shelves: self.pack_batch(rects),
-                        next_shelf: 0,
-                        running: 0,
-                    });
-                }
-                None => return Vec::new(),
-            }
+    fn decide_into(&mut self, now: Time, free: u32, out: &mut Vec<TaskId>) {
+        if self.core.open_next(now) {
+            self.pack_batch();
         }
-        let cur = self.current.as_mut().expect("just ensured");
         // A shelf starts only on an empty machine (shelf barrier). With
         // the machine idle, `free < P` can still happen under an engine
         // capacity dip — wait for recovery instead of asserting.
-        if cur.running > 0 || cur.next_shelf >= cur.shelves.len() {
-            return Vec::new();
+        if self.core.running() > 0 || free < self.procs {
+            return;
         }
-        if free < self.procs {
-            return Vec::new();
-        }
-        let shelf = &cur.shelves[cur.next_shelf];
-        cur.next_shelf += 1;
-        cur.running = shelf.tasks.len();
-        let mut out = Vec::with_capacity(shelf.tasks.len());
-        for &(id, x, w) in &shelf.tasks {
+        let Some(shelf) = self.shelves.pop_front() else {
+            return;
+        };
+        self.core.start_held(shelf.len());
+        for (r, x) in shelf {
             self.packing.place(PlacedRect {
-                id,
+                id: r.id,
                 x,
-                width: w,
+                width: r.width,
                 y: now,
-                height: self.specs[&id],
+                height: r.height,
             });
-            out.push(id);
+            out.push(r.id);
         }
-        out
     }
 }
 

@@ -37,7 +37,7 @@ pub mod svg;
 
 pub use catbatch_strip::CatBatchStrip;
 pub use packing::{PlacedRect, StripPacking, StripViolation};
-pub use shelf_pack::Rect;
+pub use shelf_pack::{Rect, ShelfRule};
 
 #[cfg(test)]
 mod prop_tests {

@@ -1,9 +1,10 @@
 //! Contiguous shelf packers for independent rectangles: NFDH and FFDH
 //! with explicit coordinates, plus the Bottom-Left skyline heuristic.
 //!
-//! These are the strip-packing counterparts of the schedulers in
-//! `rigid_baselines::shelf` — same shelf logic, but committing to actual
-//! `[x, x+w)` processor intervals so contiguity is verifiable.
+//! [`shelves`] is the workspace's one shelf packer: [`nfdh`]/[`ffdh`]
+//! place its shelves in a [`StripPacking`], `rigid_baselines::shelf`
+//! turns them into a schedule, and CatBatch-Strip runs one NFDH packing
+//! per category batch.
 
 use crate::packing::{PlacedRect, StripPacking};
 use rigid_dag::TaskId;
@@ -20,70 +21,90 @@ pub struct Rect {
     pub height: Time,
 }
 
-/// Packs rectangles with Next-Fit Decreasing Height at `y_offset`,
-/// returning the packing height used (above the offset).
-pub fn nfdh(rects: &[Rect], strip_width: u32, y_offset: Time, out: &mut StripPacking) -> Time {
-    shelf_pack(rects, strip_width, y_offset, out, false)
+/// Which shelf a rectangle may join.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ShelfRule {
+    /// Next-fit: only the most recent shelf stays open.
+    NextFit,
+    /// First-fit: all shelves stay open; use the lowest one that fits.
+    FirstFit,
 }
 
-/// Packs rectangles with First-Fit Decreasing Height at `y_offset`.
-pub fn ffdh(rects: &[Rect], strip_width: u32, y_offset: Time, out: &mut StripPacking) -> Time {
-    shelf_pack(rects, strip_width, y_offset, out, true)
+/// A shelf packing, with heights measured from its base.
+#[derive(Clone, Debug)]
+pub struct Shelves {
+    /// Every rectangle in packing order, with its shelf's index and its
+    /// left edge `x`.
+    pub items: Vec<(Rect, usize, u32)>,
+    /// Each shelf's bottom edge.
+    pub bottoms: Vec<Time>,
+    /// The top of the last shelf.
+    pub height: Time,
 }
 
-fn shelf_pack(
-    rects: &[Rect],
-    strip_width: u32,
-    y_offset: Time,
-    out: &mut StripPacking,
-    first_fit: bool,
-) -> Time {
-    let mut items: Vec<Rect> = rects.to_vec();
-    items.sort_by_key(|r| std::cmp::Reverse(r.height));
-    struct Shelf {
-        y: Time,
-        x_cursor: u32,
-    }
-    let mut shelves: Vec<Shelf> = Vec::new();
-    let mut top = y_offset;
-    for r in items {
+/// Packs rectangles onto shelves in decreasing height, stable on input
+/// order (Coffman, Garey, Johnson and Tarjan). A shelf is as tall as its
+/// first, tallest rectangle; a rectangle joins the shelf `rule` picks if
+/// its width still fits, else it opens a new shelf on top.
+///
+/// # Panics
+/// Panics if a rectangle is wider than the strip.
+pub fn shelves(rects: &[Rect], strip_width: u32, rule: ShelfRule) -> Shelves {
+    let mut sorted: Vec<Rect> = rects.to_vec();
+    sorted.sort_by_key(|r| std::cmp::Reverse(r.height));
+    let mut items = Vec::with_capacity(sorted.len());
+    let mut bottoms = Vec::new();
+    let mut used: Vec<u32> = Vec::new();
+    let mut height = Time::ZERO;
+    for r in sorted {
         assert!(
             r.width <= strip_width,
             "rectangle {} wider than the strip",
             r.id
         );
-        let slot = if first_fit {
-            shelves
-                .iter()
-                .position(|s| s.x_cursor + r.width <= strip_width)
-        } else {
-            shelves
-                .len()
-                .checked_sub(1)
-                .filter(|&i| shelves[i].x_cursor + r.width <= strip_width)
+        let fits = |u: u32| u + r.width <= strip_width;
+        let slot = match rule {
+            ShelfRule::NextFit => used.len().checked_sub(1).filter(|&i| fits(used[i])),
+            ShelfRule::FirstFit => used.iter().position(|&u| fits(u)),
         };
-        let idx = match slot {
-            Some(i) => i,
-            None => {
-                shelves.push(Shelf {
-                    y: top,
-                    x_cursor: 0,
-                });
-                top += r.height;
-                shelves.len() - 1
-            }
-        };
-        let s = &mut shelves[idx];
+        let shelf = slot.unwrap_or_else(|| {
+            bottoms.push(height);
+            used.push(0);
+            height += r.height;
+            used.len() - 1
+        });
+        items.push((r, shelf, used[shelf]));
+        used[shelf] += r.width;
+    }
+    Shelves {
+        items,
+        bottoms,
+        height,
+    }
+}
+
+/// Packs rectangles with Next-Fit Decreasing Height at `y_offset`,
+/// returning the packing height used (above the offset).
+pub fn nfdh(rects: &[Rect], strip_width: u32, y_offset: Time, out: &mut StripPacking) -> Time {
+    place(shelves(rects, strip_width, ShelfRule::NextFit), y_offset, out)
+}
+
+/// Packs rectangles with First-Fit Decreasing Height at `y_offset`.
+pub fn ffdh(rects: &[Rect], strip_width: u32, y_offset: Time, out: &mut StripPacking) -> Time {
+    place(shelves(rects, strip_width, ShelfRule::FirstFit), y_offset, out)
+}
+
+fn place(packed: Shelves, y_offset: Time, out: &mut StripPacking) -> Time {
+    for (r, shelf, x) in packed.items {
         out.place(PlacedRect {
             id: r.id,
-            x: s.x_cursor,
+            x,
             width: r.width,
-            y: s.y,
+            y: y_offset + packed.bottoms[shelf],
             height: r.height,
         });
-        s.x_cursor += r.width;
     }
-    top - y_offset
+    packed.height
 }
 
 /// Bottom-Left placement over a skyline, processing rectangles in

@@ -304,27 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_attempts_share_pooled_threads() {
-        // Many sequential watchdogged trials must not spawn a thread
-        // each: the global pool grows only when attempts overlap (e.g. a
-        // stale hung job from another test still occupies a worker), so
-        // it stays far below the trial count.
-        let before = WatchdogPool::global().spawned_threads();
-        let mut sup = Supervisor::new(policy(Some(5_000), 0));
-        for seed in 0..100 {
-            assert_eq!(sup.run_trial(seed, 1, || move || seed), Ok(seed));
-        }
-        // `spawned_threads` counts *live* workers since idle reaping
-        // landed, so another test's worker exiting mid-run could make
-        // the count shrink — saturate instead of underflowing.
-        let grown = WatchdogPool::global().spawned_threads().saturating_sub(before);
-        assert!(
-            grown <= 1,
-            "100 sequential watchdog trials grew the pool by {grown} threads"
-        );
-    }
-
-    #[test]
     fn quarantine_is_scenario_scoped() {
         let mut sup = Supervisor::new(policy(None, 0));
         let _: Result<(), _> = sup.run_trial(1, 100, || || panic!("bad config"));
